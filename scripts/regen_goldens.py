@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Write or check the golden sha256 digests of every scenario artifact.
+
+Usage:
+    PYTHONPATH=src python scripts/regen_goldens.py [--check]
+
+Each canned config in ``configs/`` runs at the reduced sizes in ``REDUCED``
+(a few seconds in total), on one thread, with the relative output dir
+``golden/<scenario>`` inside a scratch working directory.  ``summary.txt``
+and ``tracking_summary.json`` echo the output dir, so the fixed relative
+dir makes them hash the same wherever the run happens.  The digests land
+in ``tests/data/golden_digests.txt`` as ``<sha256>  <scenario>/<file>``
+lines; ``--check`` compares against that file instead of writing it and
+exits 1 on any difference.  ``tests/test_goldens.py`` runs the same check.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from spinmech.scenarios import parse_config, run_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+GOLDEN_FILE = ROOT / "tests" / "data" / "golden_digests.txt"
+
+#: Parameter overrides that shrink each canned config to a quick run.
+REDUCED = {
+    "fp_stationary": {"n_cells": 128, "t_final": 0.25, "n_snapshots": 3},
+    "mc_fp_xval": {"n_particles": 2000, "t_final": 0.5, "n_cells": 64},
+    "momentum_limit": {"horizons": [10.0, 100.0], "n_paths": 50,
+                       "steps_per_horizon": 1000},
+    "ou_relax": {"n_particles": 200, "t_final": 0.5},
+    "stern_gerlach": {"n": 2000},
+    "track_ensemble": {"n_particles": 500, "t_final": 1.0},
+    "track_particle": {},
+}
+
+
+def digest_lines(work_dir) -> list[str]:
+    """Run every reduced scenario under ``work_dir``; one digest line per artifact."""
+    lines = []
+    here = os.getcwd()
+    os.chdir(work_dir)
+    try:
+        for path in sorted(CONFIGS.glob("*.cfg")):
+            cfg = parse_config(path.read_text())
+            cfg = replace(
+                cfg,
+                parameters={**cfg.parameters, **REDUCED[cfg.scenario]},
+                output_dir=f"golden/{cfg.scenario}",
+            )
+            summary = run_scenario(cfg, n_workers=1)
+            for name in sorted(summary.artifacts):
+                digest = hashlib.sha256(
+                    (Path(cfg.output_dir) / name).read_bytes()
+                ).hexdigest()
+                lines.append(f"{digest}  {cfg.scenario}/{name}")
+    finally:
+        os.chdir(here)
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed digests instead of writing")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as work:
+        lines = digest_lines(work)
+    text = "\n".join(lines) + "\n"
+    if not args.check:
+        GOLDEN_FILE.write_text(text)
+        print(f"wrote {len(lines)} digests to {GOLDEN_FILE}")
+        return 0
+    if GOLDEN_FILE.read_text() == text:
+        print(f"{len(lines)} digests match {GOLDEN_FILE}")
+        return 0
+    print(f"digests differ from {GOLDEN_FILE}", file=sys.stderr)
+    return 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -93,6 +93,14 @@ def _non_negative(name):
     return (lambda v: v >= 0, f"{name} must be >= 0")
 
 
+def _finite(value) -> bool:
+    """True for a number that converts to a finite float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _coerce(param: Param, value, line, errors):
     """Type-check one parameter value; returns the coerced value or None."""
     where = f"line {line}: parameters.{param.name}"
@@ -110,14 +118,20 @@ def _coerce(param: Param, value, line, errors):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{where}: expected a number, got {value!r}")
             return None
+        if not _finite(value):
+            errors.append(f"{where}: expected a finite number, got {value!r}")
+            return None
         return float(value)
     if param.kind == "list":
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return [float(value)]
+            value = [value]
         if not isinstance(value, list):
             errors.append(f"{where}: expected a comma-separated number list, got {value!r}")
             return None
-        return value
+        if not all(_finite(v) for v in value):
+            errors.append(f"{where}: expected finite numbers, got {value!r}")
+            return None
+        return [float(v) for v in value]
     if param.kind == "str":
         if not isinstance(value, str):
             errors.append(f"{where}: expected a string, got {value!r}")
@@ -194,7 +208,7 @@ def parse_config(text: str) -> ScenarioConfig:
             if coerced is not None:
                 params[key] = coerced
         for p in spec.params:
-            if p.name in params:
+            if p.name in params or p.name in raw.sections["parameters"]:
                 continue
             if p.required:
                 errors.append(

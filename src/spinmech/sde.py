@@ -39,11 +39,18 @@ _CHUNK_NOISE_BYTES = 64 * 1024 * 1024
 
 @dataclass(frozen=True)
 class DriftSpec:
-    """A drift function ``b(x, t)``; callables must accept ndarray ``x``."""
+    """A drift function ``b(x, t)``; callables must accept ndarray ``x``.
+
+    ``autonomous`` states that ``fn`` ignores ``t``, so a solver may evaluate
+    it once and reuse the result at every step.  ``linear``, ``tabulated``
+    and :func:`drift_from_density` set it; a drift that reads ``t``
+    (time-scaled, the controlled plants) leaves it False.
+    """
 
     kind: str
     fn: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
     params: dict = field(default_factory=dict)
+    autonomous: bool = False
 
     def __call__(self, x, t):
         return self.fn(x, t)
@@ -51,7 +58,9 @@ class DriftSpec:
     @staticmethod
     def linear(omega: float) -> "DriftSpec":
         """Restoring drift ``b(x, t) = -omega * x``."""
-        return DriftSpec("linear", lambda x, t: -omega * x, {"omega": omega})
+        return DriftSpec(
+            "linear", lambda x, t: -omega * x, {"omega": omega}, autonomous=True
+        )
 
     @staticmethod
     def time_scaled(t_floor: float = 1e-3) -> "DriftSpec":
@@ -77,6 +86,7 @@ class DriftSpec:
             "tabulated",
             lambda x, t: np.interp(x, xs, bs),
             {"x_min": float(xs[0]), "x_max": float(xs[-1])},
+            autonomous=True,
         )
 
 
@@ -117,7 +127,7 @@ def drift_from_density(
             check_positive(hi)
             return half_s2 * (np.log(hi) - np.log(lo)) / (2.0 * h)
 
-    return DriftSpec("from_density", u, {"sigma": sigma})
+    return DriftSpec("from_density", u, {"sigma": sigma}, autonomous=True)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinmech.config import apply_overrides, parse_value
 from spinmech.errors import ConfigurationError
@@ -17,6 +21,8 @@ n_particles = 1000
 [output]
 dir = out/ou
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def errors_of(text):
@@ -192,6 +198,52 @@ class TestInvariantPropagation:
     def test_broken_config_names_the_invariant(self, scenario, params, expected):
         msgs = errors_of(config_for(scenario, params))
         assert any(expected in m for m in msgs), msgs
+
+
+def _as_text(value):
+    if isinstance(value, list):
+        return ", ".join(repr(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+#: (scenario, key, kind) of every float or list parameter of every scenario.
+NUMERIC_PARAMS = [
+    (name, p.name, p.kind)
+    for name, spec in sorted(REGISTRY.items())
+    for p in spec.params
+    if p.kind in ("float", "list")
+]
+
+
+class TestNonFiniteValues:
+    """inf and nan are config errors (exit 2), never a numerical failure later."""
+
+    @given(
+        target=st.sampled_from(NUMERIC_PARAMS),
+        bad=st.sampled_from(["inf", "-inf", "nan", "NaN", "Infinity", "1e999", "-2e308"]),
+        position=st.integers(0, 2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_number_is_a_config_error(self, target, bad, position):
+        scenario, key, kind = target
+        canned = parse_config((CONFIGS / f"{scenario}.cfg").read_text()).parameters
+        params = {k: _as_text(v) for k, v in canned.items()}
+        parse_config(config_for(scenario, params))  # the finite original is valid
+        if kind == "list":
+            items = ["1.0", "2.0", "3.0"]
+            items[position] = bad
+            bad = ", ".join(items)
+        params[key] = bad
+        msgs = errors_of(config_for(scenario, params))
+        assert any(f"parameters.{key}: expected" in m and "finite" in m for m in msgs), msgs
+
+    def test_integer_beyond_float_range_is_a_config_error(self):
+        msgs = errors_of(MINIMAL_OU.replace("omega = 1.0", "omega = 1" + "0" * 400))
+        assert any("parameters.omega: expected a finite number" in m for m in msgs)
+
+    def test_rejected_required_value_is_not_also_reported_missing(self):
+        msgs = errors_of(MINIMAL_OU.replace("sigma = 1.0", "sigma = inf"))
+        assert not any("missing required key 'sigma'" in m for m in msgs), msgs
 
 
 class TestOverrides:

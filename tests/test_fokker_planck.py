@@ -1,9 +1,16 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinmech.errors import ConfigurationError, InvalidInputError
+from spinmech.errors import (
+    ConfigurationError,
+    InvalidInputError,
+    NumericalOverflowError,
+)
 from spinmech.fokker_planck import (
     DensityField,
     Grid1D,
@@ -188,6 +195,115 @@ class TestFpSolve:
             _, snaps = fp_solve(f, drift, sigma, 2.0, dt)
             changes.append(l1_distance(snaps[-1], f))
         assert changes[0] / changes[1] >= 2.0
+
+
+def step_chain(rho, drift, sigma, t_final, dt):
+    """The final field of ``fp_solve`` rebuilt from single ``fp_step`` calls."""
+    t = 0.0
+    for _ in range(math.ceil(t_final / dt - 1e-12)):
+        step = min(dt, t_final - t)
+        rho = fp_step(rho, drift, sigma, t, step)
+        t = min(t + step, t_final)
+    return rho
+
+
+def counting(drift):
+    """``drift`` with a call counter in ``calls[0]``; autonomy is kept."""
+    calls = [0]
+
+    def fn(x, t):
+        calls[0] += 1
+        return drift.fn(x, t)
+
+    return replace(drift, fn=fn), calls
+
+
+def _rho_stationary(x):
+    return np.exp(-np.asarray(x) ** 2)
+
+
+AUTONOMOUS_DRIFTS = {
+    "linear": DriftSpec.linear(1.5),
+    "from_density": drift_from_density(_rho_stationary, 1.0),
+    "tabulated": DriftSpec.tabulated(
+        np.linspace(-5.0, 5.0, 41), np.sin(np.linspace(-5.0, 5.0, 41))
+    ),
+}
+
+
+class TestAutonomousFastPath:
+    """fp_solve hoists the drift of an autonomous spec without moving a bit."""
+
+    def test_autonomy_of_each_drift_kind(self):
+        assert all(d.autonomous for d in AUTONOMOUS_DRIFTS.values())
+        assert not DriftSpec.time_scaled(1.0).autonomous
+
+    @pytest.mark.parametrize("sigma", [0.8, 0.0])
+    @pytest.mark.parametrize("kind", sorted(AUTONOMOUS_DRIFTS))
+    def test_equals_a_chain_of_steps(self, kind, sigma):
+        g = Grid1D(-6.0, 6.0, 96)
+        f = gaussian_field(g, mu=0.5, std=0.6)
+        drift = AUTONOMOUS_DRIFTS[kind]
+        dt = stable_dt(drift, sigma, g)
+        t_final = 123.4 * dt  # the last step is shorter than dt
+        times, snaps = fp_solve(f, drift, sigma, t_final, dt)
+        assert times[-1] == t_final
+        assert np.array_equal(snaps[-1].values, step_chain(f, drift, sigma, t_final, dt).values)
+
+    def test_time_scaled_drift_keeps_per_step_evaluation(self):
+        g = Grid1D(-8.0, 8.0, 96)
+        f = gaussian_field(g, std=0.5)
+        drift, calls = counting(DriftSpec.time_scaled(t_floor=1.0))
+        dt = 0.5 * stable_dt(drift, 0.7, g)
+        t_final = 200.5 * dt
+        _, snaps = fp_solve(f, drift, 0.7, t_final, dt)
+        assert calls[0] >= 201
+        expected = step_chain(f, DriftSpec.time_scaled(t_floor=1.0), 0.7, t_final, dt)
+        assert np.array_equal(snaps[-1].values, expected.values)
+
+    @pytest.mark.parametrize("kind", sorted(AUTONOMOUS_DRIFTS))
+    def test_drift_evaluated_a_constant_number_of_times(self, kind):
+        g = Grid1D(-6.0, 6.0, 96)
+        f = gaussian_field(g, std=0.5)
+        drift, calls = counting(AUTONOMOUS_DRIFTS[kind])
+        dt = stable_dt(AUTONOMOUS_DRIFTS[kind], 1.0, g)
+        _, snaps = fp_solve(f, drift, 1.0, 200 * dt, dt, [0.0, 100 * dt, 200 * dt])
+        assert len(snaps) == 3
+        assert calls[0] <= 2
+
+    def test_horizon_shorter_than_dt_is_judged_by_the_step_taken(self):
+        g = Grid1D(-2.0, 2.0, 64)
+        f = gaussian_field(g, std=0.3)
+        drift = DriftSpec.linear(5.0)
+        bound = g.dx / (5.0 * 2.0)  # dx / max|u| on the interior faces
+        fp_solve(f, drift, 0.0, 0.5 * bound, 10.0 * bound)
+        with pytest.raises(ConfigurationError, match="advective CFL bound"):
+            fp_solve(f, drift, 0.0, 1.5 * bound, 10.0 * bound)
+
+    def test_stability_error_raised_by_solve(self):
+        g = Grid1D(-2.0, 2.0, 64)
+        f = gaussian_field(g, std=0.5)
+        with pytest.raises(ConfigurationError, match="diffusive stability bound"):
+            fp_solve(f, ZERO_DRIFT, 1.0, 2.0, 1.0)
+
+    def test_negative_density_raised_by_solve(self):
+        # a spike on a diverging drift: both bounds hold, their sum does not
+        g = Grid1D(-4.0, 4.0, 65)
+        sigma, dx = 1.0, g.dx
+        u = 2.0 * sigma**2 / dx
+        drift = DriftSpec.tabulated([-4.0, -dx / 4, dx / 4, 4.0], [-u, -u, u, u])
+        dt = 0.99 * min(dx * dx / (2.0 * sigma**2), dx / u)
+        spike = np.zeros(65)
+        spike[32] = 1.0 / dx
+        with pytest.raises(NumericalOverflowError, match="density went negative"):
+            fp_solve(DensityField(g, spike), drift, sigma, 3 * dt, dt)
+
+    def test_boundary_mass_warning_raised_by_solve(self):
+        g = Grid1D(-1.0, 1.0, 32)
+        f = gaussian_field(g, std=2.0)
+        with pytest.warns(RuntimeWarning, match="boundary mass") as record:
+            fp_solve(f, ZERO_DRIFT, 0.2, 3e-4, 1e-4)
+        assert record[0].filename == __file__
 
 
 class TestHistogramDensity:

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinmech import io
 from spinmech.control import ControlLaw, ReferenceTrajectory, simulate_controlled_particle
-from spinmech.fokker_planck import DensityField, Grid1D
+from spinmech.fokker_planck import DensityField, Grid1D, l1_distance
 from spinmech.sde import DriftSpec, SdeConfig, simulate_ensemble
 from spinmech.spin import Spinor
 from spinmech.stern_gerlach import BeamConfig, simulate_beam
@@ -42,6 +44,26 @@ def test_density_round_trip(tmp_path):
     assert back.grid.n_cells == 32
     assert back.grid.x_min == pytest.approx(-2.0, abs=1e-12)
     assert back.grid.x_max == pytest.approx(2.0, abs=1e-12)
+
+
+@given(
+    x_min=st.floats(-1e3, 1e3),
+    width=st.floats(1e-2, 1e3),
+    n_cells=st.integers(16, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_density_round_trip_compares_with_the_original(
+    tmp_path_factory, x_min, width, n_cells, seed
+):
+    # the grid is rebuilt from cell centers, so its endpoints may differ from
+    # the written ones in the last bits; l1_distance must still accept it
+    grid = Grid1D(x_min, x_min + width, n_cells)
+    v = np.random.default_rng(seed).random(n_cells) + 1e-3
+    field = DensityField(grid, v / (v.sum() * grid.dx))
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    io.write_density(path, field)
+    assert l1_distance(io.read_density(path), field) < 1e-12
 
 
 def test_density_sequence_manifest(tmp_path):

@@ -225,6 +225,33 @@ dir = {tmp_path / "out"}
         assert cli.main(["run", cfg]) == cli.EXIT_NUMERIC
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario,params,bad",
+        [
+            ("fp_stationary", "omega = 1.0\nsigma = 1.0\nt_final = inf", "t_final"),
+            ("ou_relax", "omega = 1.0\nsigma = inf\nn_particles = 10", "sigma"),
+            ("ou_relax", "omega = 1.0\nsigma = 1.0\nn_particles = 10\nx0 = nan", "x0"),
+            (
+                "stern_gerlach",
+                "alpha_re = 0.6\nbeta_re = 0.8\nn = 100\nmass = inf",
+                "mass",
+            ),
+        ],
+    )
+    def test_non_finite_value_exits_2_without_traceback(
+        self, tmp_path, capsys, scenario, params, bad
+    ):
+        text = (
+            f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n{params}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"parameters.{bad}: expected a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg = self._write(tmp_path, SMALL_OU.format(out=tmp_path / "a"))
         assert cli.main(["run", cfg]) == cli.EXIT_OK

@@ -54,7 +54,6 @@ from .spin import (
     SpinOperator,
     Spinor,
     energy_levels,
-    equal_exact,
     equal_up_to_phase,
     evolve_spinor,
     measurement_probabilities,
@@ -63,7 +62,6 @@ from .spin import (
 )
 from .stern_gerlach import (
     BeamConfig,
-    PlateRecord,
     PlateRecords,
     count_plate_modes,
     deflection,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import apply_overrides
 from .errors import ConfigurationError, InvalidInputError, NumericalOverflowError, SpinmechError
@@ -49,11 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_text(path: str) -> str:
-    with open(path, "r") as fh:
-        return fh.read()
-
-
 def _print_config_errors(err: ConfigurationError) -> None:
     print("configuration errors:", file=sys.stderr)
     for msg in err.errors:
@@ -68,7 +64,7 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        text = _read_config_text(args.config)
+        text = Path(args.config).read_text()
     except OSError as e:
         print(f"cannot read config: {e}", file=sys.stderr)
         return EXIT_IO

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigurationError
-
 SECTIONS = ("scenario", "parameters", "output")
 
 
@@ -132,8 +130,3 @@ def apply_overrides(cfg: ScenarioConfig, seed=None, output_dir=None) -> Scenario
     if output_dir is not None:
         cfg = replace(cfg, output_dir=str(output_dir))
     return cfg
-
-
-def raise_if_errors(errors: list[str]):
-    if errors:
-        raise ConfigurationError(errors)

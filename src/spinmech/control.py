@@ -37,9 +37,9 @@ class ReferenceTrajectory:
     """Reference velocity ``v_r(t)`` with its derivative on ``[0, duration]``.
 
     A missing derivative is replaced by a central difference with step
-    ``1e-5 * duration``; either way the pair is cross-checked on a probe
-    grid at construction, so an inconsistent analytic derivative is
-    rejected immediately rather than corrupting a run.
+    ``1e-5 * duration``.  A given derivative is cross-checked against that
+    difference on a probe grid at construction, so an inconsistent analytic
+    derivative is rejected immediately rather than corrupting a run.
     """
 
     v_r: Callable[[float], float]
@@ -49,19 +49,14 @@ class ReferenceTrajectory:
     def __post_init__(self):
         if not (np.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(f"duration must be positive, got {self.duration}")
-        if self.v_r_dot is None:
-            h = 1e-5 * self.duration
-            v = self.v_r
-            object.__setattr__(
-                self, "v_r_dot", lambda t, _v=v, _h=h: (_v(t + _h) - _v(t - _h)) / (2 * _h)
-            )
-        self._check_consistency()
-
-    def _check_consistency(self):
         h = 1e-5 * self.duration
-        probe = np.linspace(2 * h, self.duration - 2 * h, 33)
-        for t in probe:
-            fd = (self.v_r(t + h) - self.v_r(t - h)) / (2 * h)
+        v = self.v_r
+        central = lambda t: (v(t + h) - v(t - h)) / (2 * h)
+        if self.v_r_dot is None:
+            object.__setattr__(self, "v_r_dot", central)
+            return
+        for t in np.linspace(2 * h, self.duration - 2 * h, 33):
+            fd = central(t)
             stated = self.v_r_dot(t)
             if abs(fd - stated) > DERIVATIVE_CONSISTENCY_TOL * (1.0 + abs(stated)):
                 raise InvalidInputError(
@@ -120,16 +115,17 @@ def flat_state_and_input(
     omega: float,
     eta: Optional[Callable[[float], float]] = None,
     y_dot: Optional[Callable[[float], float]] = None,
-    fd_step: float = 1e-6,
 ):
     """Recover the state and input trajectories from a flat output.
 
     For this plant the state equals the flat output and the input is
     ``u = y' + omega y - eta``; applying the returned input to the
-    noiseless plant from ``y(0)`` reproduces ``y``.
+    noiseless plant from ``y(0)`` reproduces ``y``.  A missing ``y_dot`` is
+    replaced by a central difference with step ``1e-6``.
     """
     if y_dot is None:
-        y_dot = lambda t: (y(t + fd_step) - y(t - fd_step)) / (2 * fd_step)
+        h = 1e-6
+        y_dot = lambda t: (y(t + h) - y(t - h)) / (2 * h)
 
     def input_fn(t):
         u = y_dot(t) + omega * y(t)
@@ -223,6 +219,14 @@ def _report_from_batch(
     )
 
 
+def _check_horizon(cfg: SdeConfig, reference: ReferenceTrajectory):
+    if cfg.t_final > reference.duration * (1 + 1e-12):
+        raise InvalidInputError(
+            f"simulation horizon {cfg.t_final:g} exceeds the reference duration "
+            f"{reference.duration:g}"
+        )
+
+
 def simulate_controlled_particle(
     law: ControlLaw,
     v0: float,
@@ -237,12 +241,7 @@ def simulate_controlled_particle(
     ``eta_hat`` matching the disturbance and ``sigma = 0`` the error decays
     as ``e(0) exp(-omega t)`` up to integrator error.
     """
-    horizon = cfg.t0 + cfg.n_steps * cfg.dt
-    if horizon > law.reference.duration * (1 + 1e-12):
-        raise InvalidInputError(
-            f"simulation horizon {horizon:g} exceeds the reference duration "
-            f"{law.reference.duration:g}"
-        )
+    _check_horizon(cfg, law.reference)
     omega = law.omega
 
     def plant_drift(v, t):
@@ -269,12 +268,7 @@ def simulate_controlled_ensemble(
     initial velocities (scalar or per-particle sampler), so the initial mean
     error is ``E[v(0)] - v_r(0)``.
     """
-    horizon = cfg.t0 + cfg.n_steps * cfg.dt
-    if horizon > reference.duration * (1 + 1e-12):
-        raise InvalidInputError(
-            f"simulation horizon {horizon:g} exceeds the reference duration "
-            f"{reference.duration:g}"
-        )
+    _check_horizon(cfg, reference)
     u_mean = ensemble_mean_control(reference, omega)
 
     def plant_drift(v, t):

@@ -20,9 +20,9 @@ does not read ``t``, so :func:`fp_solve` checks stability, evaluates the
 face drift and builds the fitted weights once, for the largest step it
 takes, then steps raw arrays and validates a :class:`DensityField` only at
 snapshots.  Any other drift (time-scaled, the controlled plants) is checked
-and weighted at every step's ``t``.  The boundary-mass warning, the
-negative-density guard and the clip run at every step on both paths, and
-both share :func:`fp_step`'s update kernel, so the output bits are the same.
+and weighted at every step's ``t``.  The negative-density guard and the
+clip run at every step on both paths, and both share :func:`fp_step`'s
+update kernel, so the output bits are the same.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ BOUNDARY_MASS_WARN = 1e-6
 MASS_TOL = 1e-9
 #: Most negative value tolerated (and clipped) in a computed density.
 NEGATIVE_FLOOR = -1e-12
+#: Fraction of the largest stable step that :func:`stable_dt` returns.
+STABLE_DT_SAFETY = 0.8
 
 
 @dataclass(frozen=True)
@@ -179,20 +181,26 @@ def _checked_flux(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: fl
     return _face_flux(u_face, sigma, grid.dx)
 
 
+def _warn_boundary_mass(values: np.ndarray, dx: float) -> bool:
+    """Warn the solver's caller when the edge cells hold mass; True if so."""
+    boundary = (values[0] + values[-1]) * dx
+    if boundary <= BOUNDARY_MASS_WARN:
+        return False
+    warnings.warn(
+        f"boundary mass {boundary:.3g} exceeds {BOUNDARY_MASS_WARN:g}; "
+        "the domain is too narrow for reflecting boundaries to be neutral",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return True
+
+
 def _advance(values: np.ndarray, flux, dx: float, dt: float) -> np.ndarray:
     """One explicit conservative update of raw cell values (the shared kernel).
 
-    Warns when the edge cells hold mass, fails when a value drops below
-    ``NEGATIVE_FLOOR`` and clips the rounding-level negatives above it.
+    Fails when a value drops below ``NEGATIVE_FLOOR`` and clips the
+    rounding-level negatives above it.
     """
-    boundary = (values[0] + values[-1]) * dx
-    if boundary > BOUNDARY_MASS_WARN:
-        warnings.warn(
-            f"boundary mass {boundary:.3g} exceeds {BOUNDARY_MASS_WARN:g}; "
-            "the domain is too narrow for reflecting boundaries to be neutral",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     f = flux(values)
     new = values.copy()
     scale = dt / dx
@@ -208,46 +216,41 @@ def _advance(values: np.ndarray, flux, dx: float, dt: float) -> np.ndarray:
     return new
 
 
-def check_stability(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: float):
-    """Raise a configuration error naming whichever stability bound fails."""
-    problems = []
+def _step_bounds(drift: DriftSpec, sigma: float, grid: Grid1D, t: float):
+    """The diffusive and the advective step bound (inf where absent) and max|u|."""
     dx = grid.dx
-    if sigma > 0.0:
-        bound = dx * dx / (2.0 * sigma * sigma)
-        if dt > bound:
-            problems.append(
-                f"diffusive stability bound violated: dt={dt:g} > "
-                f"dx^2/(2 sigma^2)={bound:g}"
-            )
     u = np.asarray(drift(grid.faces[1:-1], t), dtype=float)
     umax = float(np.max(np.abs(u))) if u.size else 0.0
-    if umax > 0.0:
-        bound = dx / umax
-        if dt > bound:
-            problems.append(
-                f"advective CFL bound violated: dt={dt:g} > dx/max|u|={bound:g}"
-            )
+    diffusive = dx * dx / (2.0 * sigma * sigma) if sigma > 0.0 else math.inf
+    advective = dx / umax if umax > 0.0 else math.inf
+    return diffusive, advective, umax
+
+
+def check_stability(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: float):
+    """Raise a configuration error naming whichever stability bound fails."""
+    diffusive, advective, _ = _step_bounds(drift, sigma, grid, t)
+    problems = []
+    if dt > diffusive:
+        problems.append(
+            f"diffusive stability bound violated: dt={dt:g} > "
+            f"dx^2/(2 sigma^2)={diffusive:g}"
+        )
+    if dt > advective:
+        problems.append(
+            f"advective CFL bound violated: dt={dt:g} > dx/max|u|={advective:g}"
+        )
     if problems:
         raise ConfigurationError(problems)
 
 
-def stable_dt(drift: DriftSpec, sigma: float, grid: Grid1D, t: float = 0.0,
-              safety: float = 0.8) -> float:
-    """A step size satisfying both stated bounds and the combined positivity bound."""
-    dx = grid.dx
-    u = np.asarray(drift(grid.faces[1:-1], t), dtype=float)
-    umax = float(np.max(np.abs(u))) if u.size else 0.0
-    candidates = []
-    if sigma > 0.0:
-        candidates.append(dx * dx / (2.0 * sigma * sigma))
-    if umax > 0.0:
-        candidates.append(dx / umax)
-    denom = sigma * sigma / (dx * dx) + 2.0 * umax / dx
-    if denom > 0.0:
-        candidates.append(1.0 / denom)
-    if not candidates:
+def stable_dt(drift: DriftSpec, sigma: float, grid: Grid1D) -> float:
+    """A step within both stated bounds and the positivity bound for the drift at t=0."""
+    diffusive, advective, umax = _step_bounds(drift, sigma, grid, 0.0)
+    denom = sigma * sigma / (grid.dx * grid.dx) + 2.0 * umax / grid.dx
+    if not (sigma > 0.0 or umax > 0.0 or denom > 0.0):
         raise InvalidInputError("no dynamics: sigma and drift are both zero")
-    return safety * min(candidates)
+    positivity = 1.0 / denom if denom > 0.0 else math.inf
+    return STABLE_DT_SAFETY * min(diffusive, advective, positivity)
 
 
 def fp_step(
@@ -256,6 +259,7 @@ def fp_step(
     """One explicit conservative step; mass is conserved to rounding."""
     grid = rho.grid
     flux = _checked_flux(drift, sigma, grid, t, dt)
+    _warn_boundary_mass(rho.values, grid.dx)
     return DensityField(grid, _advance(rho.values, flux, grid.dx, dt))
 
 
@@ -273,7 +277,8 @@ def fp_solve(
     time; the returned times are the actual ones.  ``t_final = 0`` returns
     the initial field unchanged.  The result equals a chain of
     :func:`fp_step` calls bit for bit; for an autonomous drift the stability
-    check and the face flux are built once, for the largest step taken.
+    check and the face flux are built once, for the largest step taken.  The
+    boundary-mass warning is emitted at most once per call.
     """
     if t_final < 0:
         raise InvalidInputError(f"t_final must be >= 0, got {t_final}")
@@ -298,10 +303,13 @@ def fp_solve(
     if hoisted:
         flux = _checked_flux(drift, sigma, grid, t, min(dt, t_final))
     values = rho0.values
+    warned = False
     for _ in range(n_steps):
         step = min(dt, t_final - t)
         if not hoisted:
             flux = _checked_flux(drift, sigma, grid, t, step)
+        if not warned:
+            warned = _warn_boundary_mass(values, grid.dx)
         values = _advance(values, flux, grid.dx, step)
         t = min(t + step, t_final)
         while next_out < len(wanted) and wanted[next_out] <= t + 1e-12:

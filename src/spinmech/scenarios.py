@@ -76,7 +76,6 @@ class Param:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    name: str
     description: str
     params: tuple
     artifacts: str  # human description; actual names come from the run
@@ -113,6 +112,9 @@ def _coerce(param: Param, value, line, errors):
                 errors.append(f"{where}: expected an integer, got {value!r}")
                 return None
             value = int(value)
+        if not -(2**63) <= value < 2**63:  # integers size numpy arrays
+            errors.append(f"{where}: expected an integer within 64 bits, got {value!r}")
+            return None
         return value
     if param.kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -152,17 +154,13 @@ def parse_config(text: str) -> ScenarioConfig:
     name_item = raw.get("scenario", "name")
     seed_item = raw.get("scenario", "seed")
     dir_item = raw.get("output", "dir")
-    for key, item in raw.sections["scenario"].items():
-        if key not in ("name", "seed"):
-            errors.append(
-                f"line {item.line}: unknown key '{key}' in [scenario] "
-                "(expected name, seed)"
-            )
-    for key, item in raw.sections["output"].items():
-        if key != "dir":
-            errors.append(
-                f"line {item.line}: unknown key '{key}' in [output] (expected dir)"
-            )
+    for section, known in (("scenario", ("name", "seed")), ("output", ("dir",))):
+        for key, item in raw.sections[section].items():
+            if key not in known:
+                errors.append(
+                    f"line {item.line}: unknown key '{key}' in [{section}] "
+                    f"(expected {', '.join(known)})"
+                )
 
     if name_item is None:
         errors.append("missing required key 'name' in [scenario]")
@@ -387,10 +385,8 @@ def _run_ou_relax(cfg: ScenarioConfig, out: Path, n_workers: int):
     variances = rb.variances() if rb.n_particles > 1 else np.zeros_like(means)
     n = rb.n_particles
     mean_ref, var_ref = ou_analytic_moments(p["x0"], p["omega"], p["sigma"], rb.times)
-    with (out / "moments.csv").open("w") as fh:
-        fh.write("t,mean,var,mean_analytic,var_analytic\n")
-        for row in zip(rb.times, means, variances, mean_ref, var_ref):
-            fh.write(",".join(io.fmt(v) for v in row) + "\n")
+    io.write_csv(out / "moments.csv", ["t", "mean", "var", "mean_analytic", "var_analytic"],
+                 [rb.times, means, variances, mean_ref, var_ref])
 
     live = rb.times > 0
     se_mean = np.sqrt(np.maximum(variances[live], 1e-300) / n)
@@ -524,9 +520,6 @@ def _run_momentum_limit(cfg: ScenarioConfig, out: Path, n_workers: int):
     for horizon in p["horizons"]:
         n_steps = p["steps_per_horizon"]
         dt = (horizon - p["t0"]) / n_steps
-        rec = max(1, n_steps // 4000)
-        while n_steps % rec:
-            rec -= 1
         sde_cfg = SdeConfig(
             dt=dt,
             n_steps=n_steps,
@@ -535,7 +528,7 @@ def _run_momentum_limit(cfg: ScenarioConfig, out: Path, n_workers: int):
             seed=cfg.seed,
             x0=p["x0"],
             t0=p["t0"],
-            record_every=rec,
+            record_every=_auto_record(n_steps, 0, target=4000),
         )
         batch = simulate_ensemble(drift, sde_cfg, n_workers)
         for path_idx in range(batch.n_particles):
@@ -546,34 +539,17 @@ def _run_momentum_limit(cfg: ScenarioConfig, out: Path, n_workers: int):
                 variance_threshold=p["variance_threshold"],
             )
             rows.append((horizon, path_idx, est.p_hat, est.window_variance, est.converged))
-    with (out / "momentum.csv").open("w") as fh:
-        fh.write("horizon,path,p_hat,window_variance,converged\n")
-        for h, i, ph, wv, conv in rows:
-            fh.write(
-                f"{io.fmt(h)},{i},{io.fmt(ph)},{io.fmt(wv)},"
-                f"{'true' if conv else 'false'}\n"
-            )
+    momentum_header = ["horizon", "path", "p_hat", "window_variance", "converged"]
+    io.write_csv(out / "momentum.csv", momentum_header, [np.array(c) for c in zip(*rows)])
 
-    table = np.loadtxt(
-        out / "momentum.csv",
-        delimiter=",",
-        skiprows=1,
-        converters={4: lambda s: 1.0 if s.strip() == "true" else 0.0},
-        ndmin=2,
-    )
+    table = io.read_csv(out / "momentum.csv", converters={4: lambda s: s == "true"})
     horizons = sorted(set(table[:, 0]))
-    with (out / "horizon_summary.csv").open("w") as fh:
-        fh.write("horizon,mean_p_hat,mean_window_variance,converged_fraction\n")
-        mean_wv = []
-        mean_ph = []
-        for h in horizons:
-            sel = table[table[:, 0] == h]
-            mean_ph.append(sel[:, 2].mean())
-            mean_wv.append(sel[:, 3].mean())
-            fh.write(
-                f"{io.fmt(h)},{io.fmt(mean_ph[-1])},{io.fmt(mean_wv[-1])},"
-                f"{io.fmt(sel[:, 4].mean())}\n"
-            )
+    sels = [table[table[:, 0] == h] for h in horizons]
+    mean_ph = [sel[:, 2].mean() for sel in sels]
+    mean_wv = [sel[:, 3].mean() for sel in sels]
+    summary_header = ["horizon", "mean_p_hat", "mean_window_variance", "converged_fraction"]
+    io.write_csv(out / "horizon_summary.csv", summary_header,
+                 [horizons, mean_ph, mean_wv, [sel[:, 4].mean() for sel in sels]])
     metrics = {
         "n_horizons": len(horizons),
         "first_window_variance": float(mean_wv[0]),
@@ -593,15 +569,35 @@ def _make_reference(p: dict) -> ReferenceTrajectory:
         return ReferenceTrajectory.constant(p["level"], duration)
     if profile == "ramp":
         return ReferenceTrajectory.ramp(p["rate"], duration, start=p["level"])
-    if profile == "sine":
-        return ReferenceTrajectory.sine(
-            p["amplitude"], p["angular_freq"], duration, offset=p["level"]
-        )
-    raise ConfigurationError(f"unknown reference profile {profile!r}")
+    # "sine": _validate_profile rejects any other profile at parse time
+    return ReferenceTrajectory.sine(
+        p["amplitude"], p["angular_freq"], duration, offset=p["level"]
+    )
 
 
-def _tracking_metrics_from_csv(path, omega, e0, eta_gap):
-    table = io.read_tracking_table(path)
+def _tracking_setup(cfg: ScenarioConfig, n_particles: int, target: int):
+    """The reference and the SdeConfig of a tracking run; v(0) = v_r(0) + e0."""
+    p = cfg.parameters
+    reference = _make_reference(p)
+    n_steps = _steps_for(p["t_final"], p["dt"])
+    sde_cfg = SdeConfig(
+        dt=p["dt"],
+        n_steps=n_steps,
+        sigma=p["sigma"],
+        n_particles=n_particles,
+        seed=cfg.seed,
+        x0=reference.v_r(0.0) + p["e0"],
+        record_every=_auto_record(n_steps, p["record_every"], target=target),
+    )
+    return reference, sde_cfg
+
+
+def _tracking_metrics(cfg: ScenarioConfig, out: Path, report, eta_gap):
+    """Write both tracking artifacts; the re-read table and the shared metrics."""
+    io.write_tracking_report(out / "tracking.csv", report)
+    io.write_tracking_summary(out / "tracking_summary.json", report, cfg.echo())
+    table = io.read_tracking_table(out / "tracking.csv")
+    omega, e0 = cfg.parameters["omega"], cfg.parameters["e0"]
     t, e = table["t"], table["e_mean"]
     t_final = t[-1]
     try:
@@ -622,62 +618,29 @@ def _tracking_metrics_from_csv(path, omega, e0, eta_gap):
 
 def _run_track_particle(cfg: ScenarioConfig, out: Path, n_workers: int):
     p = cfg.parameters
-    reference = _make_reference(p)
+    reference, sde_cfg = _tracking_setup(cfg, 1, target=1000)
     eta, eta_hat = p["eta"], p["eta_hat"]
     law = ControlLaw(
         omega=p["omega"], reference=reference, eta_hat=lambda t: eta_hat
     )
-    n_steps = _steps_for(p["t_final"], p["dt"])
-    rec = _auto_record(n_steps, p["record_every"], target=1000)
-    v0 = reference.v_r(0.0) + p["e0"]
-    sde_cfg = SdeConfig(
-        dt=p["dt"],
-        n_steps=n_steps,
-        sigma=p["sigma"],
-        n_particles=1,
-        seed=cfg.seed,
-        x0=v0,
-        record_every=rec,
-    )
     report = simulate_controlled_particle(
-        law, v0, sde_cfg, disturbance=lambda t: eta, n_workers=n_workers
+        law, sde_cfg.x0, sde_cfg, disturbance=lambda t: eta, n_workers=n_workers
     )
-    io.write_tracking_report(out / "tracking.csv", report)
-    io.write_tracking_summary(out / "tracking_summary.json", report, cfg.echo())
-    _, metrics = _tracking_metrics_from_csv(
-        out / "tracking.csv", p["omega"], p["e0"], eta - eta_hat
-    )
+    _, metrics = _tracking_metrics(cfg, out, report, eta - eta_hat)
     return metrics, ["tracking.csv", "tracking_summary.json"]
 
 
 def _run_track_ensemble(cfg: ScenarioConfig, out: Path, n_workers: int):
     p = cfg.parameters
-    reference = _make_reference(p)
-    n_steps = _steps_for(p["t_final"], p["dt"])
-    rec = _auto_record(n_steps, p["record_every"], target=100)
-    v0 = reference.v_r(0.0) + p["e0"]
-    sde_cfg = SdeConfig(
-        dt=p["dt"],
-        n_steps=n_steps,
-        sigma=p["sigma"],
-        n_particles=p["n_particles"],
-        seed=cfg.seed,
-        x0=v0,
-        record_every=rec,
-    )
+    reference, sde_cfg = _tracking_setup(cfg, p["n_particles"], target=100)
     report = simulate_controlled_ensemble(
         reference, p["omega"], sde_cfg, n_workers=n_workers
     )
-    io.write_tracking_report(out / "tracking.csv", report)
-    io.write_tracking_summary(out / "tracking_summary.json", report, cfg.echo())
-    table, base = _tracking_metrics_from_csv(
-        out / "tracking.csv", p["omega"], p["e0"], 0.0
-    )
-    n = p["n_particles"]
+    table, base = _tracking_metrics(cfg, out, report, 0.0)
     metrics = {
         "terminal_mean_error": base["terminal_error"],
         "expected_terminal_error": base["expected_terminal_error"],
-        "clt_band": 3.0 * p["sigma"] / math.sqrt(n),
+        "clt_band": 3.0 * p["sigma"] / math.sqrt(p["n_particles"]),
         "terminal_error_variance": float(table["e_std"][-1] ** 2),
         "stationary_error_variance": p["sigma"] ** 2 / (2.0 * p["omega"]),
         "fitted_decay_rate": base["fitted_decay_rate"],
@@ -717,6 +680,11 @@ def _validate_profile(p):
     return []
 
 
+_TRACK_OMEGA = Param("omega", "float", check=(
+    lambda v: v > 0,
+    "omega must be > 0 (stable error dynamics require positive omega)",
+))
+
 _TRACK_PROFILE_PARAMS = (
     Param("profile", "str", "constant"),
     Param("level", "float", 1.0),
@@ -727,7 +695,6 @@ _TRACK_PROFILE_PARAMS = (
 
 REGISTRY: dict[str, ScenarioSpec] = {
     "ou_relax": ScenarioSpec(
-        name="ou_relax",
         description=(
             "Noisy restoring-force ensemble relaxing toward its stationary "
             "law, checked against the closed-form moments."
@@ -754,7 +721,6 @@ REGISTRY: dict[str, ScenarioSpec] = {
         runner=_run_ou_relax,
     ),
     "fp_stationary": ScenarioSpec(
-        name="fp_stationary",
         description=(
             "Density evolution started from the stationary profile matched "
             "to its drift; measures how little the solver lets it move."
@@ -773,7 +739,6 @@ REGISTRY: dict[str, ScenarioSpec] = {
         runner=_run_fp_stationary,
     ),
     "mc_fp_xval": ScenarioSpec(
-        name="mc_fp_xval",
         description=(
             "Cross-validation of the path ensemble against the density "
             "solver: final-time histogram vs integrated density."
@@ -798,7 +763,6 @@ REGISTRY: dict[str, ScenarioSpec] = {
         ),
     ),
     "stern_gerlach": ScenarioSpec(
-        name="stern_gerlach",
         description=(
             "Beam of identically prepared spins through the field gradient; "
             "plate statistics against the two-branch ballistic prediction."
@@ -835,7 +799,6 @@ REGISTRY: dict[str, ScenarioSpec] = {
         validator=_validate_spinor,
     ),
     "momentum_limit": ScenarioSpec(
-        name="momentum_limit",
         description=(
             "Ballistic-drift paths over growing horizons; the spread of "
             "x_t/t over the tail window shrinks as the velocity limit sets in."
@@ -863,16 +826,12 @@ REGISTRY: dict[str, ScenarioSpec] = {
         validator=_validate_momentum,
     ),
     "track_particle": ScenarioSpec(
-        name="track_particle",
         description=(
             "Single velocity tracked along a reference by the open-loop law; "
             "exponential error decay and disturbance compensation."
         ),
         params=(
-            Param("omega", "float", check=(
-                lambda v: v > 0,
-                "omega must be > 0 (stable error dynamics require positive omega)",
-            )),
+            _TRACK_OMEGA,
             Param("e0", "float", 1.0),
             Param("eta", "float", 0.0),
             Param("eta_hat", "float", 0.0),
@@ -892,16 +851,12 @@ REGISTRY: dict[str, ScenarioSpec] = {
         validator=_validate_profile,
     ),
     "track_ensemble": ScenarioSpec(
-        name="track_ensemble",
         description=(
             "Ensemble mean velocity steered along a reference while "
             "per-particle noise keeps individual paths stochastic."
         ),
         params=(
-            Param("omega", "float", check=(
-                lambda v: v > 0,
-                "omega must be > 0 (stable error dynamics require positive omega)",
-            )),
+            _TRACK_OMEGA,
             Param("sigma", "float", check=_non_negative("sigma")),
             Param("n_particles", "int", check=_positive("n_particles")),
             Param("e0", "float", 1.0),

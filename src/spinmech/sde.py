@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -185,7 +185,6 @@ class TrajectoryBatch:
 
     times: np.ndarray
     paths: np.ndarray
-    seed_used: int
 
     def __post_init__(self):
         if self.paths.ndim != 2 or self.paths.shape[1] != self.times.size:
@@ -203,8 +202,9 @@ class TrajectoryBatch:
     def means(self) -> np.ndarray:
         return self.paths.mean(axis=0)
 
-    def variances(self, ddof: int = 1) -> np.ndarray:
-        return self.paths.var(axis=0, ddof=ddof)
+    def variances(self) -> np.ndarray:
+        """Unbiased (``ddof=1``) variance across particles at each time."""
+        return self.paths.var(axis=0, ddof=1)
 
 
 def euler_maruyama_step(x, drift: DriftSpec, t: float, dt: float, dw):
@@ -291,7 +291,7 @@ def simulate_ensemble(
     else:
         for lo, hi in ranges:
             _run_range(drift, cfg, lo, hi, paths)
-    return TrajectoryBatch(times=times, paths=paths, seed_used=cfg.seed)
+    return TrajectoryBatch(times=times, paths=paths)
 
 
 @dataclass(frozen=True)
@@ -352,8 +352,3 @@ def ou_analytic_moments(x0: float, omega: float, sigma: float, t):
     if t.ndim == 0:
         return float(mean), float(var)
     return mean, var
-
-
-def with_x0(cfg: SdeConfig, x0) -> SdeConfig:
-    """Copy of ``cfg`` with a different initial condition."""
-    return replace(cfg, x0=x0)

@@ -50,11 +50,9 @@ class BeamConfig:
 
     def __post_init__(self):
         problems = []
-        for name in ("mass", "magnet_length", "drift_length", "v_beam", "hbar"):
+        for name in ("mass", "magnet_length", "drift_length", "v_beam", "hbar", "b_z"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive, got {getattr(self, name)}")
-        if self.b_z <= 0:
-            problems.append(f"b_z must be positive, got {self.b_z}")
         if self.sigma_z < 0:
             problems.append(f"sigma_z must be >= 0, got {self.sigma_z}")
         if problems:
@@ -84,38 +82,18 @@ class BeamConfig:
         raise InvalidInputError(f"branch must be '{UP}' or '{DOWN}', got {branch!r}")
 
 
-@dataclass(frozen=True)
-class PlateRecord:
-    branch: str
-    z_final: float
-    p_final: float
-
-
 class PlateRecords:
-    """Columnar collection of plate hits; indexing yields PlateRecord views."""
+    """Columnar collection of plate hits: branch, plate position, momentum."""
 
-    def __init__(self, is_up: np.ndarray, z_final: np.ndarray, p_final: np.ndarray,
-                 seed_used: int):
+    def __init__(self, is_up: np.ndarray, z_final: np.ndarray, p_final: np.ndarray):
         self.is_up = np.asarray(is_up, dtype=bool)
         self.z_final = np.asarray(z_final, dtype=float)
         self.p_final = np.asarray(p_final, dtype=float)
-        self.seed_used = seed_used
         if not (self.is_up.shape == self.z_final.shape == self.p_final.shape):
             raise InvalidInputError("plate record columns have mismatched lengths")
 
     def __len__(self):
         return self.is_up.size
-
-    def __getitem__(self, i) -> PlateRecord:
-        return PlateRecord(
-            branch=UP if self.is_up[i] else DOWN,
-            z_final=float(self.z_final[i]),
-            p_final=float(self.p_final[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def up_fraction(self) -> float:
         return float(self.is_up.mean())
@@ -171,7 +149,7 @@ def simulate_beam(
         z0[i] = cfg.sigma_z * gen.standard_normal()
     z_final = np.where(is_up, z_up, z_dn) + z0
     p_final = np.where(is_up, p_mom_up, p_mom_dn)
-    return PlateRecords(is_up, z_final, p_final, seed_used=seed)
+    return PlateRecords(is_up, z_final, p_final)
 
 
 def energy_transition(
@@ -215,21 +193,28 @@ def precess_moment(gamma_vec, field, gamma: float, dt: float) -> np.ndarray:
     return g * c + np.cross(axis, g) * s + axis * np.dot(axis, g) * (1.0 - c)
 
 
-def count_plate_modes(z_values, bins: int = 64, prominence: float = 0.1) -> int:
+#: Bins of the plate histogram that :func:`count_plate_modes` reads.
+PLATE_BINS = 64
+#: Fraction of the tallest smoothed bin that a plate peak must clear.
+PLATE_PROMINENCE = 0.1
+
+
+def count_plate_modes(z_values) -> int:
     """Number of local maxima of the plate histogram.
 
-    The histogram is lightly smoothed (3-bin kernel) and peaks must clear
-    ``prominence`` times the tallest bin, which suppresses single-bin
-    sampling noise while keeping well-separated branches distinct.
+    The histogram (``PLATE_BINS`` bins) is lightly smoothed (3-bin kernel)
+    and peaks must clear ``PLATE_PROMINENCE`` times the tallest bin, which
+    suppresses single-bin sampling noise while keeping well-separated
+    branches distinct.
     """
     z = np.asarray(z_values, dtype=float)
     if z.size == 0:
         raise InvalidInputError("no plate positions to histogram")
-    counts, _ = np.histogram(z, bins=bins)
+    counts, _ = np.histogram(z, bins=PLATE_BINS)
     smooth = np.convolve(counts, np.array([1.0, 2.0, 1.0]) / 4.0, mode="same")
     if smooth.max() == 0.0:
         return 0
     peaks, _ = find_peaks(
-        np.concatenate(([0.0], smooth, [0.0])), prominence=prominence * smooth.max()
+        np.concatenate(([0.0], smooth, [0.0])), prominence=PLATE_PROMINENCE * smooth.max()
     )
     return int(peaks.size)

@@ -304,6 +304,7 @@ class TestAutonomousFastPath:
         with pytest.warns(RuntimeWarning, match="boundary mass") as record:
             fp_solve(f, ZERO_DRIFT, 0.2, 3e-4, 1e-4)
         assert record[0].filename == __file__
+        assert len(record) == 1
 
 
 class TestHistogramDensity:

@@ -99,8 +99,6 @@ def test_plate_records_round_trip(tmp_path):
     assert np.array_equal(back.is_up, records.is_up)
     assert np.array_equal(back.z_final, records.z_final)
     assert np.array_equal(back.p_final, records.p_final)
-    one = back[0]
-    assert one.branch in ("up", "down")
 
     summary = tmp_path / "branch_summary.csv"
     io.write_branch_summary(summary, records)

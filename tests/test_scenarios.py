@@ -252,6 +252,28 @@ dir = {tmp_path / "out"}
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "scenario,params,bad",
+        [
+            ("ou_relax", "omega = 1.0\nsigma = 1.0\nn_particles = 1e20", "n_particles"),
+            ("stern_gerlach", "alpha_re = 0.6\nbeta_re = 0.8\nn = 1e20", "n"),
+            ("fp_stationary", "omega = 1.0\nsigma = 1.0\nn_cells = 1e20", "n_cells"),
+        ],
+    )
+    def test_integer_beyond_int64_exits_2_without_traceback(
+        self, tmp_path, capsys, scenario, params, bad
+    ):
+        text = (
+            f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n{params}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"parameters.{bad}: expected an integer within 64 bits" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg = self._write(tmp_path, SMALL_OU.format(out=tmp_path / "a"))
         assert cli.main(["run", cfg]) == cli.EXIT_OK

@@ -100,6 +100,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"I/O failure: {e}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("configured sizes are too large to allocate", file=sys.stderr)
+        return EXIT_CONFIG
     print(human_summary(summary))
     return EXIT_OK
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import FitWindowError, InvalidInputError
-from .sde import DriftSpec, SdeConfig, TrajectoryBatch, simulate_ensemble
+from .sde import DriftSpec, SdeConfig, simulate_ensemble
 
 #: Relative agreement required between v_r_dot and a central difference of v_r.
 DERIVATIVE_CONSISTENCY_TOL = 1e-6
@@ -98,16 +98,21 @@ class ControlLaw:
             )
 
 
+def _law_value(law: ControlLaw, t: float) -> float:
+    """The tracking law at ``t``, unchecked; the caller keeps ``t`` in the horizon."""
+    u = law.omega * law.reference.v_r(t) + law.reference.v_r_dot(t)
+    if law.eta_hat is not None:
+        u -= law.eta_hat(t)
+    return u
+
+
 def openloop_control(law: ControlLaw, t: float) -> float:
     """Evaluate the tracking law at ``t`` within the reference's horizon."""
     if not 0.0 <= t <= law.reference.duration * (1 + 1e-12):
         raise InvalidInputError(
             f"t={t:g} outside the reference horizon [0, {law.reference.duration:g}]"
         )
-    u = law.omega * law.reference.v_r(t) + law.reference.v_r_dot(t)
-    if law.eta_hat is not None:
-        u -= law.eta_hat(t)
-    return u
+    return _law_value(law, t)
 
 
 def flat_state_and_input(
@@ -190,11 +195,30 @@ def error_dynamics_fit(errors, times, window: tuple[float, float] | None = None)
     return float(slope)
 
 
-def _report_from_batch(
-    batch: TrajectoryBatch, law_u: Callable[[float], float], v_ref: Callable[[float], float]
-) -> TrackingReport:
+def _simulate_tracking(law: ControlLaw, cfg: SdeConfig, disturbance, n_workers: int):
+    """Integrate the plant under ``law`` and report the mean tracking error.
+
+    This is the one body of both simulators.  The horizon is checked once,
+    at both ends, before any step; every step and recorded time then lies
+    in the reference's horizon, so the law is evaluated without
+    :func:`openloop_control`'s per-call range check.
+    """
+    duration = law.reference.duration
+    if cfg.t0 < 0.0 or cfg.t_final > duration * (1 + 1e-12):
+        raise InvalidInputError(
+            f"simulation horizon [{cfg.t0:g}, {cfg.t_final:g}] leaves the reference "
+            f"horizon [0, {duration:g}]"
+        )
+
+    def plant_drift(v, t):
+        b = -law.omega * v + _law_value(law, t)
+        if disturbance is not None:
+            b = b + disturbance(t)
+        return b
+
+    batch = simulate_ensemble(DriftSpec(plant_drift), cfg, n_workers=n_workers)
     times = batch.times
-    refs = np.array([v_ref(t) for t in times])
+    refs = np.array([law.reference.v_r(t) for t in times])
     per_particle_errors = batch.paths - refs
     mean_err = per_particle_errors.mean(axis=0)
     std_err = (
@@ -202,7 +226,7 @@ def _report_from_batch(
         if batch.n_particles > 1
         else np.zeros_like(mean_err)
     )
-    control = np.array([law_u(t) for t in times])
+    control = np.array([_law_value(law, t) for t in times])
     try:
         rate = error_dynamics_fit(mean_err, times)
     except FitWindowError:
@@ -219,14 +243,6 @@ def _report_from_batch(
     )
 
 
-def _check_horizon(cfg: SdeConfig, reference: ReferenceTrajectory):
-    if cfg.t_final > reference.duration * (1 + 1e-12):
-        raise InvalidInputError(
-            f"simulation horizon {cfg.t_final:g} exceeds the reference duration "
-            f"{reference.duration:g}"
-        )
-
-
 def simulate_controlled_particle(
     law: ControlLaw,
     v0: float,
@@ -241,18 +257,7 @@ def simulate_controlled_particle(
     ``eta_hat`` matching the disturbance and ``sigma = 0`` the error decays
     as ``e(0) exp(-omega t)`` up to integrator error.
     """
-    _check_horizon(cfg, law.reference)
-    omega = law.omega
-
-    def plant_drift(v, t):
-        b = -omega * v + openloop_control(law, t)
-        if disturbance is not None:
-            b = b + disturbance(t)
-        return b
-
-    drift = DriftSpec("controlled", plant_drift, {"omega": omega})
-    batch = simulate_ensemble(drift, replace(cfg, x0=v0), n_workers=n_workers)
-    return _report_from_batch(batch, lambda t: openloop_control(law, t), law.reference.v_r)
+    return _simulate_tracking(law, replace(cfg, x0=v0), disturbance, n_workers)
 
 
 def simulate_controlled_ensemble(
@@ -268,12 +273,4 @@ def simulate_controlled_ensemble(
     initial velocities (scalar or per-particle sampler), so the initial mean
     error is ``E[v(0)] - v_r(0)``.
     """
-    _check_horizon(cfg, reference)
-    u_mean = ensemble_mean_control(reference, omega)
-
-    def plant_drift(v, t):
-        return -omega * v + u_mean(t)
-
-    drift = DriftSpec("controlled_mean", plant_drift, {"omega": omega})
-    batch = simulate_ensemble(drift, cfg, n_workers=n_workers)
-    return _report_from_batch(batch, u_mean, reference.v_r)
+    return _simulate_tracking(ControlLaw(omega, reference), cfg, None, n_workers)

@@ -176,8 +176,8 @@ def _checked_flux(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: fl
     """Check a step of ``dt`` at ``t`` against both bounds; the face flux there."""
     if sigma < 0:
         raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
-    check_stability(drift, sigma, grid, t, dt)
     u_face = np.asarray(drift(grid.faces[1:-1], t), dtype=float)
+    _check_step(u_face, sigma, grid.dx, dt)
     return _face_flux(u_face, sigma, grid.dx)
 
 
@@ -216,19 +216,18 @@ def _advance(values: np.ndarray, flux, dx: float, dt: float) -> np.ndarray:
     return new
 
 
-def _step_bounds(drift: DriftSpec, sigma: float, grid: Grid1D, t: float):
+def _step_bounds(u_face, sigma: float, dx: float):
     """The diffusive and the advective step bound (inf where absent) and max|u|."""
-    dx = grid.dx
-    u = np.asarray(drift(grid.faces[1:-1], t), dtype=float)
+    u = np.asarray(u_face, dtype=float)
     umax = float(np.max(np.abs(u))) if u.size else 0.0
     diffusive = dx * dx / (2.0 * sigma * sigma) if sigma > 0.0 else math.inf
     advective = dx / umax if umax > 0.0 else math.inf
     return diffusive, advective, umax
 
 
-def check_stability(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: float):
-    """Raise a configuration error naming whichever stability bound fails."""
-    diffusive, advective, _ = _step_bounds(drift, sigma, grid, t)
+def _check_step(u_face, sigma: float, dx: float, dt: float):
+    """Raise a configuration error naming whichever bound ``dt`` violates."""
+    diffusive, advective, _ = _step_bounds(u_face, sigma, dx)
     problems = []
     if dt > diffusive:
         problems.append(
@@ -243,9 +242,14 @@ def check_stability(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: 
         raise ConfigurationError(problems)
 
 
+def check_stability(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: float):
+    """Raise a configuration error naming whichever stability bound fails."""
+    _check_step(drift(grid.faces[1:-1], t), sigma, grid.dx, dt)
+
+
 def stable_dt(drift: DriftSpec, sigma: float, grid: Grid1D) -> float:
     """A step within both stated bounds and the positivity bound for the drift at t=0."""
-    diffusive, advective, umax = _step_bounds(drift, sigma, grid, 0.0)
+    diffusive, advective, umax = _step_bounds(drift(grid.faces[1:-1], 0.0), sigma, grid.dx)
     denom = sigma * sigma / (grid.dx * grid.dx) + 2.0 * umax / grid.dx
     if not (sigma > 0.0 or umax > 0.0 or denom > 0.0):
         raise InvalidInputError("no dynamics: sigma and drift are both zero")

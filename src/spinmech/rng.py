@@ -3,8 +3,10 @@
 Every particle owns a Philox counter-based stream keyed by
 ``(seed, particle_index)``.  A particle's draws depend only on that key and
 on the draw position within the stream (initial-condition draws first, then
-one increment per step), so an ensemble split across any number of workers
-or chunk sizes reproduces the serial result bit for bit.
+one increment per step, none when ``sigma == 0``), so an ensemble split
+across any number of workers or chunk sizes reproduces the serial result bit
+for bit.  The integrator stores the increments step-major, one column per
+particle.
 """
 
 from __future__ import annotations

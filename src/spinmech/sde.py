@@ -47,9 +47,7 @@ class DriftSpec:
     (time-scaled, the controlled plants) leaves it False.
     """
 
-    kind: str
     fn: Callable[[np.ndarray, float], np.ndarray] = field(repr=False)
-    params: dict = field(default_factory=dict)
     autonomous: bool = False
 
     def __call__(self, x, t):
@@ -58,20 +56,14 @@ class DriftSpec:
     @staticmethod
     def linear(omega: float) -> "DriftSpec":
         """Restoring drift ``b(x, t) = -omega * x``."""
-        return DriftSpec(
-            "linear", lambda x, t: -omega * x, {"omega": omega}, autonomous=True
-        )
+        return DriftSpec(lambda x, t: -omega * x, autonomous=True)
 
     @staticmethod
     def time_scaled(t_floor: float = 1e-3) -> "DriftSpec":
         """Drift ``b(x, t) = x / max(t, t_floor)``, finite for all t >= 0."""
         if t_floor <= 0:
             raise InvalidInputError(f"t_floor must be positive, got {t_floor}")
-        return DriftSpec(
-            "time_scaled",
-            lambda x, t: x / max(t, t_floor),
-            {"t_floor": t_floor},
-        )
+        return DriftSpec(lambda x, t: x / max(t, t_floor))
 
     @staticmethod
     def tabulated(xs, bs) -> "DriftSpec":
@@ -82,12 +74,7 @@ class DriftSpec:
             raise InvalidInputError("tabulated drift needs matching 1-d samples")
         if np.any(np.diff(xs) <= 0):
             raise InvalidInputError("tabulated drift grid must be increasing")
-        return DriftSpec(
-            "tabulated",
-            lambda x, t: np.interp(x, xs, bs),
-            {"x_min": float(xs[0]), "x_max": float(xs[-1])},
-            autonomous=True,
-        )
+        return DriftSpec(lambda x, t: np.interp(x, xs, bs), autonomous=True)
 
 
 def drift_from_density(
@@ -127,7 +114,7 @@ def drift_from_density(
             check_positive(hi)
             return half_s2 * (np.log(hi) - np.log(lo)) / (2.0 * h)
 
-    return DriftSpec("from_density", u, {"sigma": sigma}, autonomous=True)
+    return DriftSpec(u, autonomous=True)
 
 
 @dataclass(frozen=True)
@@ -137,7 +124,9 @@ class SdeConfig:
     ``x0`` is either a scalar start position or a callable
     ``sampler(generator) -> float`` drawn once per particle from that
     particle's own stream (before any step noise), which keeps sampled
-    initial conditions inside the reproducibility contract.
+    initial conditions inside the reproducibility contract.  Each particle
+    then draws its ``n_steps`` increments, which land in a step-major
+    ``(n_steps, particles)`` buffer; with ``sigma == 0`` none are drawn.
     ``record_every`` thins the stored samples; it must divide ``n_steps``.
     """
 
@@ -246,20 +235,15 @@ def _run_range(drift, cfg, lo, hi, paths):
     m = hi - lo
     x = np.empty(m)
     sdt = cfg.sigma * math.sqrt(cfg.dt)
-    block = np.empty((m, cfg.n_steps))
+    noise = np.zeros((cfg.n_steps, m))
     for i in range(m):
         gen = particle_stream(cfg.seed, lo + i)
         if callable(cfg.x0):
             x[i] = cfg.x0(gen)
         else:
             x[i] = cfg.x0
-        block[i] = gen.standard_normal(cfg.n_steps)
-    noise = np.ascontiguousarray(block.T)
-    del block
-    if sdt != 0.0:
-        noise *= sdt
-    else:
-        noise[:] = 0.0
+        if sdt != 0.0:
+            noise[:, i] = sdt * gen.standard_normal(cfg.n_steps)
     _integrate_chunk(drift, cfg, lo, x, noise, paths[lo:hi])
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ class TestErrorDynamicsFit:
         assert abs(slope + 1.0) < 1e-3
 
 
+@pytest.fixture
+def no_steps(monkeypatch):
+    """Fail any integration, so a horizon error must come before the first step."""
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("a step ran before the horizon check")
+
+    monkeypatch.setattr("spinmech.control.simulate_ensemble", integrate)
+
+
 class TestSimulateControlledParticle:
     def _law(self, omega=1.0, duration=3.0 + 1e-6, eta_hat=None):
         return ControlLaw(
@@ -246,14 +257,26 @@ class TestSimulateControlledParticle:
         envelope = np.exp(-omega * rep.times)
         assert np.max(np.abs(rep.errors - envelope)) < 0.01
 
-    def test_horizon_must_fit_reference(self):
+    def test_horizon_must_fit_reference(self, no_steps):
         law = self._law(duration=1.0)
         cfg = self._cfg(t_final=3.0)
         with pytest.raises(InvalidInputError, match="horizon"):
             simulate_controlled_particle(law, v0=1.0, cfg=cfg)
+        early = replace(self._cfg(t_final=0.5), t0=-0.1)
+        with pytest.raises(InvalidInputError, match="horizon"):
+            simulate_controlled_particle(law, v0=1.0, cfg=early)
 
 
 class TestSimulateControlledEnsemble:
+    @pytest.mark.parametrize("t0,n_steps", [(0.0, 3000), (-0.1, 500)])
+    def test_horizon_must_fit_reference(self, no_steps, t0, n_steps):
+        ref = ReferenceTrajectory.constant(1.0, 1.0)
+        cfg = SdeConfig(
+            dt=1e-3, n_steps=n_steps, sigma=0.0, n_particles=4, seed=0, x0=1.0, t0=t0
+        )
+        with pytest.raises(InvalidInputError, match="horizon"):
+            simulate_controlled_ensemble(ref, omega=1.0, cfg=cfg)
+
     def test_all_on_reference_zero_mean_error(self):
         ref = ReferenceTrajectory.constant(1.0, 2.0 + 1e-6)
         cfg = SdeConfig(

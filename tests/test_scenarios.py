@@ -274,6 +274,29 @@ dir = {tmp_path / "out"}
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "scenario,params",
+        [
+            ("ou_relax", "omega = 1.0\nsigma = 1.0\nn_particles = 10000000000000"),
+            ("stern_gerlach", "alpha_re = 0.6\nbeta_re = 0.8\nn = 1000000000000000"),
+            ("fp_stationary", "omega = 1.0\nsigma = 1.0\nn_cells = 1000000000000000"),
+        ],
+    )
+    def test_size_too_large_to_allocate_exits_2_without_traceback(
+        self, tmp_path, capsys, scenario, params
+    ):
+        # each run's first array needs more than 128 TiB, so allocation fails
+        # at once whatever the overcommit policy
+        text = (
+            f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n{params}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "too large to allocate" in err
+        assert "Traceback" not in err
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg = self._write(tmp_path, SMALL_OU.format(out=tmp_path / "a"))
         assert cli.main(["run", cfg]) == cli.EXIT_OK

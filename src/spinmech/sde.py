@@ -124,9 +124,12 @@ class SdeConfig:
     ``x0`` is either a scalar start position or a callable
     ``sampler(generator) -> float`` drawn once per particle from that
     particle's own stream (before any step noise), which keeps sampled
-    initial conditions inside the reproducibility contract.  Each particle
+    initial conditions inside the reproducibility contract.  The generator
+    is valid only during that call: the integrator re-keys the same object
+    for the next particle, so a sampler must not keep it.  Each particle
     then draws its ``n_steps`` increments, which land in a step-major
-    ``(n_steps, particles)`` buffer; with ``sigma == 0`` none are drawn.
+    ``(n_steps, particles)`` buffer; with ``sigma == 0`` none are drawn, and
+    with a scalar ``x0`` as well no stream is set up at all.
     ``record_every`` thins the stored samples; it must divide ``n_steps``.
     """
 
@@ -233,17 +236,18 @@ def _integrate_chunk(drift, cfg, first, x, noise, out_rows):
 def _run_range(drift, cfg, lo, hi, paths):
     """Simulate particles [lo, hi); fills the corresponding rows of paths."""
     m = hi - lo
-    x = np.empty(m)
+    sampled = callable(cfg.x0)
+    x = np.empty(m) if sampled else np.full(m, cfg.x0, dtype=float)
     sdt = cfg.sigma * math.sqrt(cfg.dt)
     noise = np.zeros((cfg.n_steps, m))
-    for i in range(m):
-        gen = particle_stream(cfg.seed, lo + i)
-        if callable(cfg.x0):
-            x[i] = cfg.x0(gen)
-        else:
-            x[i] = cfg.x0
-        if sdt != 0.0:
-            noise[:, i] = sdt * gen.standard_normal(cfg.n_steps)
+    if sampled or sdt != 0.0:
+        gen = None  # one generator per chunk, re-keyed for each particle
+        for i in range(m):
+            gen = particle_stream(cfg.seed, lo + i, gen)
+            if sampled:
+                x[i] = cfg.x0(gen)
+            if sdt != 0.0:
+                noise[:, i] = sdt * gen.standard_normal(cfg.n_steps)
     _integrate_chunk(drift, cfg, lo, x, noise, paths[lo:hi])
 
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from spinmech import sde
 from spinmech.errors import InvalidInputError, NumericalOverflowError
 from spinmech.sde import (
     DriftSpec,
@@ -212,6 +215,39 @@ class TestSimulateEnsemble:
         b2 = simulate_ensemble(DriftSpec.linear(1.0), cfg)
         assert np.array_equal(b1.paths, b2.paths)
         assert b1.paths[:, 0].std() > 0.5  # the sampler actually ran
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_equals_fresh_per_particle_streams(self, monkeypatch, n_workers):
+        # Oracle: a newly built Philox generator per particle, sampler first.
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-particle chunks
+        cfg = ou_cfg(
+            n_particles=700, n_steps=40, sigma=0.7, seed=-9,
+            x0=lambda gen: 2.0 * gen.standard_normal() + gen.random(),
+        )
+        batch = simulate_ensemble(DriftSpec.linear(1.3), cfg, n_workers=n_workers)
+        sdt = cfg.sigma * math.sqrt(cfg.dt)
+        x = np.empty(cfg.n_particles)
+        noise = np.empty((cfg.n_steps, cfg.n_particles))
+        for i in range(cfg.n_particles):
+            key = np.array([cfg.seed & (2**64 - 1), i], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            x[i] = cfg.x0(gen)
+            noise[:, i] = sdt * gen.standard_normal(cfg.n_steps)
+        expected = [x]
+        for k in range(cfg.n_steps):
+            x = x + (-1.3 * x) * cfg.dt + noise[k]
+            expected.append(x)
+        assert np.array_equal(batch.paths, np.array(expected).T)
+
+    def test_no_stream_when_nothing_is_drawn(self, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a stream was set up for a particle that draws nothing")
+
+        monkeypatch.setattr(sde, "particle_stream", no_stream)
+        cfg = ou_cfg(sigma=0.0, n_particles=5, n_steps=10)
+        batch = simulate_ensemble(DriftSpec.linear(1.0), cfg)
+        assert np.all(batch.paths[:, 0] == 1.0)
+        assert np.all(batch.paths == batch.paths[0])
 
     def test_overflow_reports_particle_and_step(self):
         cfg = SdeConfig(

@@ -1,15 +1,23 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinmech
 from spinmech.errors import InvalidInputError
 from spinmech.sde import momentum_estimate
 from spinmech.spin import Spinor
 from spinmech.stern_gerlach import (
     DOWN,
+    PLATE_BINS,
+    PLATE_PROMINENCE,
     UP,
     BeamConfig,
+    _count_prominent_peaks,
     count_plate_modes,
     deflection,
     energy_transition,
@@ -172,6 +180,24 @@ class TestSimulateBeam:
         records = simulate_beam(Spinor(0.6, 0.8), cfg, 10_000, seed=5)
         assert count_plate_modes(records.z_final) == 2
 
+    @pytest.mark.parametrize("sigma_z", [0.0, 0.3])
+    def test_equals_fresh_per_particle_streams(self, sigma_z):
+        # Oracle: a newly built Philox generator per particle, branch draw first.
+        cfg = beam_cfg(sigma_z=sigma_z)
+        state, seed, n = Spinor(0.6, 0.8), -5, 300
+        records = simulate_beam(state, cfg, n, seed=seed)
+        is_up = np.empty(n, dtype=bool)
+        z0 = np.empty(n)
+        for i in range(n):
+            key = np.array([seed & (2**64 - 1), i], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            is_up[i] = gen.random() < abs(state.alpha) ** 2
+            z0[i] = sigma_z * gen.standard_normal()
+        z_up, _ = deflection(UP, cfg)
+        z_dn, _ = deflection(DOWN, cfg)
+        assert np.array_equal(records.is_up, is_up)
+        assert np.array_equal(records.z_final, np.where(is_up, z_up, z_dn) + z0)
+
     def test_momentum_limit_consistency(self):
         # Straightened post-magnet paths feed the tail-window velocity
         # estimator, which must recover p_final/mass.
@@ -261,3 +287,51 @@ class TestPrecession:
         two = precess_moment(precess_moment(g, b, 1.1, 0.2), b, 1.1, 0.3)
         one = precess_moment(g, b, 1.1, 0.5)
         assert np.allclose(two, one, atol=1e-13)
+
+
+# Short runs of a few levels make plateaus, equal peaks and zero edges common.
+levels = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
+
+
+class TestPlatePeakCount:
+    @given(
+        st.integers(0, 12),
+        st.lists(levels, min_size=1, max_size=40),
+        st.integers(0, 12),
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.9]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_find_peaks(self, n_left, body, n_right, prominence):
+        from scipy.signal import find_peaks
+
+        x = [0.0] * n_left + body + [0.0] * n_right
+        peaks, _ = find_peaks(np.array(x), prominence=prominence)
+        assert _count_prominent_peaks(x, prominence) == peaks.size
+
+    @given(st.lists(st.integers(0, 4), min_size=PLATE_BINS, max_size=PLATE_BINS))
+    @settings(max_examples=300, deadline=None)
+    def test_plate_modes_match_find_peaks(self, counts):
+        from scipy.signal import find_peaks
+
+        # Anchors at 0 and PLATE_BINS put the bin edges on the integers, so
+        # bin k holds counts[k] hits at k + 0.5, plus one anchor at each end.
+        centres = np.arange(PLATE_BINS) + 0.5
+        z = np.concatenate(([0.0, float(PLATE_BINS)], np.repeat(centres, counts)))
+        hist = np.array(counts, dtype=float)
+        hist[[0, -1]] += 1
+        smooth = np.convolve(hist, [0.25, 0.5, 0.25], mode="same")
+        peaks, _ = find_peaks(
+            np.concatenate(([0.0], smooth, [0.0])),
+            prominence=PLATE_PROMINENCE * smooth.max(),
+        )
+        assert count_plate_modes(z) == peaks.size
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(spinmech.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, spinmech, spinmech.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

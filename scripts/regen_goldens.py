@@ -5,7 +5,7 @@ Usage:
     PYTHONPATH=src python scripts/regen_goldens.py [--check]
 
 Each canned config in ``configs/`` runs at the reduced sizes in ``REDUCED``
-(a few seconds in total), on one thread, with the relative output dir
+(a few seconds in total), on one thread by default, with the relative output dir
 ``golden/<scenario>`` inside a scratch working directory.  ``summary.txt``
 and ``tracking_summary.json`` echo the output dir, so the fixed relative
 dir makes them hash the same wherever the run happens.  The digests land
@@ -41,8 +41,12 @@ REDUCED = {
 }
 
 
-def digest_lines(work_dir) -> list[str]:
-    """Run every reduced scenario under ``work_dir``; one digest line per artifact."""
+def digest_lines(work_dir, n_workers: int = 1) -> list[str]:
+    """Run every reduced scenario under ``work_dir``; one digest line per artifact.
+
+    The digests do not depend on ``n_workers`` or on how ensembles are split
+    into chunks; ``tests/test_goldens.py`` checks that.
+    """
     lines = []
     here = os.getcwd()
     os.chdir(work_dir)
@@ -54,7 +58,7 @@ def digest_lines(work_dir) -> list[str]:
                 parameters={**cfg.parameters, **REDUCED[cfg.scenario]},
                 output_dir=f"golden/{cfg.scenario}",
             )
-            summary = run_scenario(cfg, n_workers=1)
+            summary = run_scenario(cfg, n_workers=n_workers)
             for name in sorted(summary.artifacts):
                 digest = hashlib.sha256(
                     (Path(cfg.output_dir) / name).read_bytes()

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import FitWindowError, InvalidInputError
+from .errors import FitWindowError, InvalidInputError, NumericalOverflowError
 from .sde import DriftSpec, SdeConfig, simulate_ensemble
 
 #: Relative agreement required between v_r_dot and a central difference of v_r.
@@ -50,6 +50,8 @@ class ReferenceTrajectory:
         if not (np.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(f"duration must be positive, got {self.duration}")
         h = 1e-5 * self.duration
+        if h == 0.0:  # a subnormal duration
+            raise InvalidInputError(f"duration {self.duration!r} has no difference step")
         v = self.v_r
         central = lambda t: (v(t + h) - v(t - h)) / (2 * h)
         if self.v_r_dot is None:
@@ -191,6 +193,8 @@ def error_dynamics_fit(errors, times, window: tuple[float, float] | None = None)
         raise FitWindowError("fit window contains zero errors")
     if np.any(np.sign(e) != np.sign(e[0])):
         raise FitWindowError("fit window contains sign changes")
+    if not 0.0 < float(np.dot(t, t)) < math.inf:  # polyfit scales by this norm
+        raise NumericalOverflowError(f"fit window [{lo:g}, {hi:g}] is beyond float range")
     slope, _ = np.polyfit(t, np.log(np.abs(e)), 1)
     return float(slope)
 

@@ -152,15 +152,15 @@ def _face_flux(u_face, sigma, dx):
     """Interior-face flux ``rho -> u*(weighted rho) - D*d rho/dx`` of one drift field.
 
     The parts that depend only on the drift (the upwind side for
-    ``sigma == 0``, else ``D`` and the fitted weight ``delta``) are computed
+    ``D == 0``, else ``D`` and the fitted weight ``delta``) are computed
     here once; the returned function evaluates
     ``u*((1-delta)*L + delta*R) - D*(R-L)/dx`` in that order, so applying it
     at every step gives the same bits as rebuilding it at every step.
     """
-    if sigma == 0.0:
+    d = 0.5 * sigma * sigma
+    if d == 0.0:  # sigma == 0, or so small that sigma**2 underflows
         from_left = u_face >= 0.0
         return lambda rho: u_face * np.where(from_left, rho[:-1], rho[1:])
-    d = 0.5 * sigma * sigma
     delta = _drift_weight(u_face * dx / d)
     keep = 1.0 - delta
 
@@ -220,7 +220,8 @@ def _step_bounds(u_face, sigma: float, dx: float):
     """The diffusive and the advective step bound (inf where absent) and max|u|."""
     u = np.asarray(u_face, dtype=float)
     umax = float(np.max(np.abs(u))) if u.size else 0.0
-    diffusive = dx * dx / (2.0 * sigma * sigma) if sigma > 0.0 else math.inf
+    twice_d = 2.0 * sigma * sigma
+    diffusive = dx * dx / twice_d if twice_d > 0.0 else math.inf
     advective = dx / umax if umax > 0.0 else math.inf
     return diffusive, advective, umax
 
@@ -250,11 +251,15 @@ def check_stability(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: 
 def stable_dt(drift: DriftSpec, sigma: float, grid: Grid1D) -> float:
     """A step within both stated bounds and the positivity bound for the drift at t=0."""
     diffusive, advective, umax = _step_bounds(drift(grid.faces[1:-1], 0.0), sigma, grid.dx)
-    denom = sigma * sigma / (grid.dx * grid.dx) + 2.0 * umax / grid.dx
+    dx2 = grid.dx * grid.dx
+    denom = (sigma * sigma / dx2 if dx2 > 0.0 else math.inf) + 2.0 * umax / grid.dx
     if not (sigma > 0.0 or umax > 0.0 or denom > 0.0):
         raise InvalidInputError("no dynamics: sigma and drift are both zero")
     positivity = 1.0 / denom if denom > 0.0 else math.inf
-    return STABLE_DT_SAFETY * min(diffusive, advective, positivity)
+    dt = STABLE_DT_SAFETY * min(diffusive, advective, positivity)
+    if not dt > 0.0:
+        raise InvalidInputError(f"no stable step is representable for dx={grid.dx:g}")
+    return dt
 
 
 def fp_step(
@@ -286,6 +291,10 @@ def fp_solve(
     """
     if t_final < 0:
         raise InvalidInputError(f"t_final must be >= 0, got {t_final}")
+    if not t_final / dt < 2**63:  # an inf ratio fails too
+        raise InvalidInputError(
+            f"t_final={t_final:g} / dt={dt:g} is more steps than fit in 64 bits"
+        )
     if output_times is None:
         output_times = [t_final]
     wanted = sorted(float(t) for t in output_times)
@@ -320,6 +329,9 @@ def fp_solve(
             times.append(t)
             snaps.append(DensityField(grid, values))
             next_out += 1
+    if next_out < len(wanted):  # rounding left t a few ulps short of t_final
+        times += [t] * (len(wanted) - next_out)
+        snaps += [DensityField(grid, values)] * (len(wanted) - next_out)
     return np.asarray(times), snaps
 
 

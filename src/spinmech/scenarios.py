@@ -31,7 +31,7 @@ from .control import (
     simulate_controlled_ensemble,
     simulate_controlled_particle,
 )
-from .errors import ConfigurationError, FitWindowError, SpinmechError
+from .errors import ConfigurationError, FitWindowError, NumericalOverflowError, SpinmechError
 from .fokker_planck import (
     DensityField,
     Grid1D,
@@ -61,6 +61,9 @@ from .stern_gerlach import (
 
 _REQUIRED = object()
 
+#: How ``summary.txt`` writes a metric that its run leaves undefined (None).
+UNDEFINED = "undefined"
+
 
 @dataclass(frozen=True)
 class Param:
@@ -82,6 +85,7 @@ class ScenarioSpec:
     metrics: tuple
     runner: Callable
     validator: Optional[Callable] = None  # extra cross-parameter checks
+    undefined: str = ""  # which metrics can be undefined (None), and when
 
 
 def _positive(name):
@@ -242,6 +246,8 @@ class RunSummary:
 
 
 def _fmt_value(v) -> str:
+    if v is None:
+        return UNDEFINED
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -252,6 +258,10 @@ def _fmt_value(v) -> str:
 
 
 def _write_summary(path, summary: RunSummary):
+    bad = {k: v for k, v in summary.metrics.items()
+           if isinstance(v, float) and not math.isfinite(v)}
+    if bad:  # an undefined metric is None; a non-finite float is a bug
+        raise AssertionError(f"scenario '{summary.scenario}' non-finite metrics: {bad}")
     lines = [f"scenario = {summary.scenario}"]
     for k, v in summary.config_echo.items():
         lines.append(f"config.{k} = {_fmt_value(v)}")
@@ -333,6 +343,8 @@ def list_scenarios() -> str:
             )
         lines.append("  artifacts: " + spec.artifacts)
         lines.append("  metrics: " + ", ".join(spec.metrics))
+        if spec.undefined:
+            lines.append("  undefined: " + spec.undefined)
     return "\n".join(lines) + "\n"
 
 
@@ -342,12 +354,23 @@ def list_scenarios() -> str:
 
 
 def _steps_for(t_final: float, dt: float) -> int:
+    if not t_final / dt < 2**63:  # an inf ratio fails too
+        raise ConfigurationError(
+            f"t_final={t_final:g} / dt={dt:g} is more steps than fit in 64 bits"
+        )
     n = round(t_final / dt)
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigurationError(
             f"t_final={t_final:g} must be a whole number of dt={dt:g} steps"
         )
     return n
+
+
+def _closed_form(name: str, value):
+    """``value``, an analytic prediction; one that overflows fails the run."""
+    if not np.all(np.isfinite(value)):
+        raise NumericalOverflowError(f"closed-form {name} does not fit a float")
+    return value
 
 
 def _auto_record(n_steps: int, requested: int, target: int = 10) -> int:
@@ -384,24 +407,28 @@ def _run_ou_relax(cfg: ScenarioConfig, out: Path, n_workers: int):
     means = rb.means()
     variances = rb.variances() if rb.n_particles > 1 else np.zeros_like(means)
     n = rb.n_particles
-    mean_ref, var_ref = ou_analytic_moments(p["x0"], p["omega"], p["sigma"], rb.times)
+    mean_ref, var_ref = _closed_form(
+        "moments", ou_analytic_moments(p["x0"], p["omega"], p["sigma"], rb.times)
+    )
     io.write_csv(out / "moments.csv", ["t", "mean", "var", "mean_analytic", "var_analytic"],
                  [rb.times, means, variances, mean_ref, var_ref])
 
     live = rb.times > 0
-    se_mean = np.sqrt(np.maximum(variances[live], 1e-300) / n)
-    z_mean = np.abs(means[live] - mean_ref[live]) / se_mean
-    se_var = variances[live] * math.sqrt(2.0 / max(n - 1, 1))
-    z_var = np.abs(variances[live] - var_ref[live]) / np.maximum(se_var, 1e-300)
     metrics = {
         "n_checkpoints": int(live.sum()),
-        "max_abs_z_mean": float(z_mean.max()),
-        "max_abs_z_var": float(z_var.max()),
         "terminal_mean": float(means[-1]),
         "terminal_mean_analytic": float(mean_ref[-1]),
-        "terminal_var": float(variances[-1]),
         "terminal_var_analytic": float(var_ref[-1]),
+        # one particle has no sample variance to compare or to scale by
+        "max_abs_z_mean": None, "max_abs_z_var": None, "terminal_var": None,
     }
+    if n > 1:
+        se_mean = np.sqrt(np.maximum(variances[live], 1e-300) / n)
+        z_mean = np.abs(means[live] - mean_ref[live]) / se_mean
+        se_var = variances[live] * math.sqrt(2.0 / (n - 1))
+        z_var = np.abs(variances[live] - var_ref[live]) / np.maximum(se_var, 1e-300)
+        metrics.update(max_abs_z_mean=float(z_mean.max()), max_abs_z_var=float(z_var.max()),
+                       terminal_var=float(variances[-1]))
     return metrics, ["trajectories.csv", "moments.csv"]
 
 
@@ -488,7 +515,7 @@ def _run_stern_gerlach(cfg: ScenarioConfig, out: Path, n_workers: int):
         sigma_z=p["sigma_z"],
         hbar=p["hbar"],
     )
-    records = simulate_beam(state, beam, p["n"], cfg.seed, n_workers)
+    records = simulate_beam(state, beam, p["n"], cfg.seed)
     io.write_plate_records(out / "plate.csv", records)
     io.write_branch_summary(out / "branch_summary.csv", records)
 
@@ -497,19 +524,20 @@ def _run_stern_gerlach(cfg: ScenarioConfig, out: Path, n_workers: int):
     z_dn, p_dn = rr.branch_arrays(DOWN)
     oracle_up = deflection(UP, beam)
     oracle_dn = deflection(DOWN, beam)
-    mean_p_up = float(p_up.mean()) if p_up.size else float("nan")
-    mean_p_dn = float(p_dn.mean()) if p_dn.size else float("nan")
+    both = bool(p_up.size and p_dn.size)
     metrics = {
         "up_fraction": rr.up_fraction(),
         "expected_up_fraction": float(abs(state.alpha) ** 2),
-        "mean_z_up": float(z_up.mean()) if z_up.size else float("nan"),
-        "mean_z_down": float(z_dn.mean()) if z_dn.size else float("nan"),
+        "mean_z_up": float(z_up.mean()) if z_up.size else None,
+        "mean_z_down": float(z_dn.mean()) if z_dn.size else None,
         "oracle_z_up": oracle_up[0],
         "oracle_z_down": oracle_dn[0],
         "n_modes": count_plate_modes(rr.z_final),
-        "delta_e_literal": energy_transition(mean_p_dn, mean_p_up, beam.mass, "literal"),
-        "delta_e_kinetic": energy_transition(mean_p_dn, mean_p_up, beam.mass, "kinetic"),
     }
+    for mode in ("literal", "kinetic"):
+        metrics[f"delta_e_{mode}"] = energy_transition(
+            float(p_dn.mean()), float(p_up.mean()), beam.mass, mode
+        ) if both else None
     return metrics, ["plate.csv", "branch_summary.csv"]
 
 
@@ -603,15 +631,14 @@ def _tracking_metrics(cfg: ScenarioConfig, out: Path, report, eta_gap):
     try:
         fitted = error_dynamics_fit(e, t)
     except FitWindowError:
-        fitted = float("nan")
+        fitted = None
     tail = e[t >= 0.9 * t_final]
-    expected = e0 * math.exp(-omega * t_final) + eta_gap / omega * (
-        1.0 - math.exp(-omega * t_final)
-    )
+    expected = _closed_form("terminal error", e0 * math.exp(-omega * t_final)
+                            + eta_gap / omega * (1.0 - math.exp(-omega * t_final)))
     return table, {
         "terminal_error": float(e[-1]),
         "expected_terminal_error": float(expected),
-        "fitted_decay_rate": float(fitted),
+        "fitted_decay_rate": fitted,
         "steady_state_error": float(np.abs(tail).mean()),
     }
 
@@ -641,8 +668,12 @@ def _run_track_ensemble(cfg: ScenarioConfig, out: Path, n_workers: int):
         "terminal_mean_error": base["terminal_error"],
         "expected_terminal_error": base["expected_terminal_error"],
         "clt_band": 3.0 * p["sigma"] / math.sqrt(p["n_particles"]),
-        "terminal_error_variance": float(table["e_std"][-1] ** 2),
-        "stationary_error_variance": p["sigma"] ** 2 / (2.0 * p["omega"]),
+        "terminal_error_variance": (
+            float(table["e_std"][-1] ** 2) if p["n_particles"] > 1 else None
+        ),
+        "stationary_error_variance": _closed_form(
+            "stationary error variance", p["sigma"] ** 2 / (2.0 * p["omega"])
+        ),
         "fitted_decay_rate": base["fitted_decay_rate"],
     }
     return metrics, ["tracking.csv", "tracking_summary.json"]
@@ -654,7 +685,8 @@ def _run_track_ensemble(cfg: ScenarioConfig, out: Path, n_workers: int):
 
 
 def _validate_spinor(p):
-    n2 = p["alpha_re"] ** 2 + p["alpha_im"] ** 2 + p["beta_re"] ** 2 + p["beta_im"] ** 2
+    # products, not ** 2: a huge amplitude gives inf here, where ** raises
+    n2 = sum(p[k] * p[k] for k in ("alpha_re", "alpha_im", "beta_re", "beta_im"))
     if abs(n2 - 1.0) > 1e-9:
         return [
             f"spinor amplitudes have squared norm {n2!r}; "
@@ -684,6 +716,11 @@ _TRACK_OMEGA = Param("omega", "float", check=(
     lambda v: v > 0,
     "omega must be > 0 (stable error dynamics require positive omega)",
 ))
+
+_FIT_UNDEFINED = (
+    "fitted_decay_rate when the mean error in the fit window is zero, changes "
+    "sign or has fewer than two samples (e.g. e0 = 0 with sigma = 0)"
+)
 
 _TRACK_PROFILE_PARAMS = (
     Param("profile", "str", "constant"),
@@ -719,6 +756,7 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "terminal_var_analytic",
         ),
         runner=_run_ou_relax,
+        undefined="max_abs_z_mean, max_abs_z_var, terminal_var when n_particles = 1",
     ),
     "fp_stationary": ScenarioSpec(
         description=(
@@ -797,6 +835,10 @@ REGISTRY: dict[str, ScenarioSpec] = {
         ),
         runner=_run_stern_gerlach,
         validator=_validate_spinor,
+        undefined=(
+            "mean_z_up, mean_z_down when no particle takes that branch; "
+            "delta_e_literal, delta_e_kinetic when either branch is empty"
+        ),
     ),
     "momentum_limit": ScenarioSpec(
         description=(
@@ -849,6 +891,7 @@ REGISTRY: dict[str, ScenarioSpec] = {
         ),
         runner=_run_track_particle,
         validator=_validate_profile,
+        undefined=_FIT_UNDEFINED,
     ),
     "track_ensemble": ScenarioSpec(
         description=(
@@ -875,5 +918,6 @@ REGISTRY: dict[str, ScenarioSpec] = {
         ),
         runner=_run_track_ensemble,
         validator=_validate_profile,
+        undefined=_FIT_UNDEFINED + "; terminal_error_variance when n_particles = 1",
     ),
 }

@@ -2,9 +2,10 @@
 
 The scalar SDE integrated here is ``dx = b(x, t) dt + sigma dw`` with the
 noise increment discretized as ``sigma * sqrt(dt) * z``, ``z`` standard
-normal.  Each particle consumes its own counter-based stream (see
-:mod:`spinmech.rng`), so ensembles are bit-reproducible for a fixed seed no
-matter how the particles are partitioned across workers.
+normal.  ``_em_update`` is that update, for both :func:`euler_maruyama_step`
+and :func:`simulate_ensemble`.  Each particle consumes its own counter-based
+stream (see :mod:`spinmech.rng`), so ensembles are bit-reproducible for a
+fixed seed no matter how the particles are partitioned across workers.
 
 Drift variants:
 
@@ -199,6 +200,11 @@ class TrajectoryBatch:
         return self.paths.var(axis=0, ddof=1)
 
 
+def _em_update(x, drift, t, dt, dw):
+    """The Euler-Maruyama update ``x + b(x, t) dt + dw``."""
+    return x + drift(x, t) * dt + dw
+
+
 def euler_maruyama_step(x, drift: DriftSpec, t: float, dt: float, dw):
     """One explicit step ``x + b(x, t) dt + dw``; deterministic in its inputs."""
     if dt <= 0:
@@ -207,48 +213,40 @@ def euler_maruyama_step(x, drift: DriftSpec, t: float, dt: float, dw):
     dw = np.asarray(dw, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(dw))):
         raise NumericalOverflowError("non-finite position or noise increment")
-    out = x + drift(x, t) * dt + dw
+    out = _em_update(x, drift, t, dt, dw)
     return float(out) if out.ndim == 0 else out
 
 
-def _integrate_chunk(drift, cfg, first, x, noise, out_rows):
-    """Advance one chunk of particles; writes recorded samples into out_rows."""
-    dt = cfg.dt
-    rec = 0
-    out_rows[:, rec] = x
-    rec += 1
-    for k in range(cfg.n_steps):
-        t = cfg.t0 + k * dt
-        x = x + drift(x, t) * dt + noise[k]
-        bad = ~np.isfinite(x) | (np.abs(x) > OVERFLOW_LIMIT)
-        if bad.any():
-            idx = int(np.argmax(bad))
-            raise NumericalOverflowError(
-                f"particle {first + idx} overflowed at step {k + 1} "
-                f"(x={x[idx]!r}, |x| bound {OVERFLOW_LIMIT:g})"
-            )
-        if (k + 1) % cfg.record_every == 0:
-            out_rows[:, rec] = x
-            rec += 1
-    return x
-
-
 def _run_range(drift, cfg, lo, hi, paths):
-    """Simulate particles [lo, hi); fills the corresponding rows of paths."""
+    """Simulate particles [lo, hi): set up their streams, then step.
+
+    One generator, re-keyed for each particle, draws its initial condition
+    and then its scaled increments into column ``i`` of a step-major buffer.
+    """
     m = hi - lo
     sampled = callable(cfg.x0)
     x = np.empty(m) if sampled else np.full(m, cfg.x0, dtype=float)
     sdt = cfg.sigma * math.sqrt(cfg.dt)
     noise = np.zeros((cfg.n_steps, m))
     if sampled or sdt != 0.0:
-        gen = None  # one generator per chunk, re-keyed for each particle
+        gen = None
         for i in range(m):
             gen = particle_stream(cfg.seed, lo + i, gen)
             if sampled:
                 x[i] = cfg.x0(gen)
             if sdt != 0.0:
                 noise[:, i] = sdt * gen.standard_normal(cfg.n_steps)
-    _integrate_chunk(drift, cfg, lo, x, noise, paths[lo:hi])
+    paths[lo:hi, 0] = x
+    for k in range(cfg.n_steps):
+        x = _em_update(x, drift, cfg.t0 + k * cfg.dt, cfg.dt, noise[k])
+        if not np.abs(x).max() <= OVERFLOW_LIMIT:  # a NaN max fails too
+            idx = int(np.argmax(~(np.abs(x) <= OVERFLOW_LIMIT)))
+            raise NumericalOverflowError(
+                f"particle {lo + idx} overflowed at step {k + 1} "
+                f"(x={x[idx]!r}, |x| bound {OVERFLOW_LIMIT:g})"
+            )
+        if (k + 1) % cfg.record_every == 0:
+            paths[lo:hi, (k + 1) // cfg.record_every] = x
 
 
 def simulate_ensemble(
@@ -258,11 +256,13 @@ def simulate_ensemble(
 
     Results are identical for any ``n_workers`` because every particle's
     noise comes from its own ``(seed, particle)`` stream and the update is
-    elementwise.
+    elementwise.  Chunks run on a thread pool only with ``n_workers > 1``
+    and more than one chunk; otherwise they run on the calling thread, so a
+    serial run starts no pool and a per-thread profiler sees all its work.
     """
     times = cfg.recorded_times()
     paths = np.empty((cfg.n_particles, times.size))
-    chunk = int(_CHUNK_NOISE_BYTES // (8 * max(cfg.n_steps, 1)))
+    chunk = int(_CHUNK_NOISE_BYTES // (8 * cfg.n_steps))
     chunk = max(256, min(chunk, 16384, cfg.n_particles))
     ranges = [
         (lo, min(lo + chunk, cfg.n_particles))
@@ -270,12 +270,7 @@ def simulate_ensemble(
     ]
     if n_workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [
-                pool.submit(_run_range, drift, cfg, lo, hi, paths)
-                for lo, hi in ranges
-            ]
-            for f in futures:
-                f.result()
+            list(pool.map(lambda r: _run_range(drift, cfg, *r, paths), ranges))
     else:
         for lo, hi in ranges:
             _run_range(drift, cfg, lo, hi, paths)
@@ -319,6 +314,8 @@ def momentum_estimate(
         raise InvalidInputError("tail window must contain strictly positive times")
     ratio = xw / tw
     wvar = float(ratio.var())
+    if not math.isfinite(wvar):  # a finite variance implies a finite mean
+        raise NumericalOverflowError("x_t / t overflows in the tail window")
     return MomentumEstimate(
         p_hat=float(ratio.mean()),
         converged=wvar <= variance_threshold,

@@ -22,8 +22,9 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalOverflowError
 from .rng import particle_stream
+from .sde import OVERFLOW_LIMIT
 from .spin import Spinor
 
 UP = "up"
@@ -125,18 +126,15 @@ def deflection(branch: str, cfg: BeamConfig) -> tuple[float, float]:
     return z_final, p_final
 
 
-def simulate_beam(
-    state: Spinor, cfg: BeamConfig, n: int, seed: int, n_workers: int = 1
-) -> PlateRecords:
+def simulate_beam(state: Spinor, cfg: BeamConfig, n: int, seed: int) -> PlateRecords:
     """Send ``n`` identically prepared particles through the apparatus.
 
     Each particle draws its branch (one uniform) and then its initial
     transverse offset (one normal) from its own ``(seed, index)`` stream, so
     results do not depend on how the loop is chunked.  One generator is
     re-keyed for each particle rather than built anew, which gives the same
-    draws at a fraction of the cost.  ``n_workers`` is accepted for
-    interface symmetry with the ensemble integrator; the work stays
-    single-threaded.
+    draws at a fraction of the cost.  The loop runs on the calling thread.
+    A plate position or momentum beyond ``OVERFLOW_LIMIT`` is an overflow.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -151,6 +149,9 @@ def simulate_beam(
         is_up[i] = gen.random() < p_up
         z0[i] = cfg.sigma_z * gen.standard_normal()
     z_final = np.where(is_up, z_up, z_dn) + z0
+    extremes = np.abs([z_up, z_dn, p_mom_up, p_mom_dn, z_final.min(), z_final.max()])
+    if not extremes.max() <= OVERFLOW_LIMIT:  # a NaN max fails too
+        raise NumericalOverflowError(f"plate hits beyond |x| bound {OVERFLOW_LIMIT:g}")
     p_final = np.where(is_up, p_mom_up, p_mom_dn)
     return PlateRecords(is_up, z_final, p_final)
 
@@ -168,12 +169,13 @@ def energy_transition(
     """
     if mass <= 0:
         raise InvalidInputError(f"mass must be positive, got {mass}")
+    if mode not in ("literal", "kinetic"):
+        raise InvalidInputError(f"mode must be 'literal' or 'kinetic', got {mode!r}")
     diff = abs(p_plus) ** 2 - abs(p_minus) ** 2
-    if mode == "literal":
-        return mass * diff
-    if mode == "kinetic":
-        return diff / (2.0 * mass)
-    raise InvalidInputError(f"mode must be 'literal' or 'kinetic', got {mode!r}")
+    energy = mass * diff if mode == "literal" else diff / (2.0 * mass)
+    if not math.isfinite(energy):
+        raise NumericalOverflowError(f"{mode} energy change overflowed")
+    return energy
 
 
 def precess_moment(gamma_vec, field, gamma: float, dt: float) -> np.ndarray:

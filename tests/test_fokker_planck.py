@@ -146,6 +146,14 @@ class TestFpSolve:
         assert list(times) == [0.0]
         assert snaps[0] is f
 
+    def test_final_snapshot_when_steps_sum_short_of_t_final(self):
+        # six steps of 3333.3 add up to 19999.8, 3.6e-12 short of 6 * 3333.3
+        g = Grid1D(-1000.0, 1000.0, 16)
+        t_final = 6 * 3333.3
+        times, snaps = fp_solve(gaussian_field(g, std=100.0), ZERO_DRIFT, 1e-3, t_final, 3333.3)
+        assert len(snaps) == 1
+        assert times[0] == pytest.approx(t_final, rel=1e-15)
+
     def test_mean_decay_matches_analytic(self):
         omega, sigma = 1.0, 1.0
         g = Grid1D(-4.0, 4.0, 512)

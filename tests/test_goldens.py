@@ -2,11 +2,17 @@
 
 ``tests/data/golden_digests.txt`` holds the sha256 of every artifact that
 ``scripts/regen_goldens.py`` produces; a change that moves any byte fails
-here until the file is regenerated and the change is explained.
+here until the file is regenerated and the change is explained.  The same
+digests must come out of a serial run with the default chunks and of a
+two-thread run with 256-particle chunks.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from spinmech import sde
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "regen_goldens.py"
 
@@ -18,9 +24,14 @@ def _load_script():
     return module
 
 
-def test_artifact_digests_match_goldens(tmp_path):
+@pytest.mark.parametrize("n_workers, chunk_bytes", [
+    (1, sde._CHUNK_NOISE_BYTES),
+    (2, 0),  # 256-particle chunks: mc_fp_xval and track_ensemble span several
+], ids=["serial", "threaded-small-chunks"])
+def test_artifact_digests_match_goldens(tmp_path, monkeypatch, n_workers, chunk_bytes):
+    monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", chunk_bytes)
     regen = _load_script()
     expected = regen.GOLDEN_FILE.read_text().splitlines()
-    actual = regen.digest_lines(tmp_path)
+    actual = regen.digest_lines(tmp_path, n_workers)
     moved = sorted(set(expected) ^ set(actual))
     assert actual == expected, "artifacts moved:\n" + "\n".join(moved)

@@ -297,6 +297,37 @@ dir = {tmp_path / "out"}
         assert "too large to allocate" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "scenario,params,undefined",
+        [
+            # a spin eigenstate sends every particle into the up branch
+            ("stern_gerlach", "alpha_re = 1\nbeta_re = 0\nn = 200",
+             {"mean_z_down", "delta_e_literal", "delta_e_kinetic"}),
+            # starting on the reference leaves no error to fit
+            ("track_particle", "omega = 1.0\ne0 = 0", {"fitted_decay_rate"}),
+        ],
+        ids=["stern_gerlach-eigenstate", "track_particle-e0-zero"],
+    )
+    def test_undefined_metric_exits_0_and_says_undefined(
+        self, tmp_path, capsys, scenario, params, undefined
+    ):
+        text = (
+            f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n{params}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["run", cfg]) == cli.EXIT_OK
+        printed = capsys.readouterr().out
+        lines = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        said = {l[len("metric."):].split(" = ")[0] for l in lines
+                if l.startswith("metric.") and l.endswith(" = undefined")}
+        assert said == undefined
+        for name in undefined:
+            assert f"  {name} = undefined" in printed
+        json_path = tmp_path / "out" / "tracking_summary.json"
+        if json_path.exists():
+            assert json.loads(json_path.read_text())["fitted_decay_rate"] is None
+
     def test_seed_override_changes_artifacts(self, tmp_path):
         cfg = self._write(tmp_path, SMALL_OU.format(out=tmp_path / "a"))
         assert cli.main(["run", cfg]) == cli.EXIT_OK

@@ -26,6 +26,16 @@ def ou_cfg(**overrides):
     return SdeConfig(**base)
 
 
+def _at(index, value):
+    """A restoring drift that returns ``value`` for one particle of a chunk."""
+    return lambda x, t: np.where(np.arange(x.size) == index, value, -x)
+
+
+def _blow_up_in_last_chunk(x, t):
+    """Pushes particle 7 of the 88-particle third chunk (of 600) past the bound."""
+    return np.where(np.arange(x.size) == 7, 3e12, 0.0) if x.size == 88 else -x
+
+
 class TestDriftSpec:
     def test_linear(self):
         d = DriftSpec.linear(2.0)
@@ -203,7 +213,8 @@ class TestSimulateEnsemble:
         assert np.array_equal(b1.paths, b2.paths)
         assert np.array_equal(b1.times, b2.times)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # three 256-particle chunks
         cfg = ou_cfg(n_particles=700)
         serial = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers=1)
         threaded = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers=4)
@@ -249,12 +260,27 @@ class TestSimulateEnsemble:
         assert np.all(batch.paths[:, 0] == 1.0)
         assert np.all(batch.paths == batch.paths[0])
 
-    def test_overflow_reports_particle_and_step(self):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("drift, n_particles, message", [
+        (DriftSpec.linear(-40.0), 4,
+         "particle 0 overflowed at step 8 (x=np.float64(7984925229121.0), |x| bound 1e+12)"),
+        (DriftSpec(_at(3, np.nan)), 4,
+         "particle 3 overflowed at step 1 (x=np.float64(nan), |x| bound 1e+12)"),
+        (DriftSpec(_at(2, -np.inf)), 4,
+         "particle 2 overflowed at step 1 (x=np.float64(-inf), |x| bound 1e+12)"),
+        (DriftSpec(_blow_up_in_last_chunk), 600,
+         "particle 519 overflowed at step 1 (x=np.float64(3000000000001.0), |x| bound 1e+12)"),
+    ], ids=["finite", "nan", "-inf", "third-chunk"])
+    def test_overflow_reports_particle_and_step(
+        self, monkeypatch, drift, n_particles, message, n_workers
+    ):
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-particle chunks
         cfg = SdeConfig(
-            dt=1.0, n_steps=60, sigma=0.0, n_particles=4, seed=1, x0=1.0
+            dt=1.0, n_steps=60, sigma=0.0, n_particles=n_particles, seed=1, x0=1.0
         )
-        with pytest.raises(NumericalOverflowError, match=r"particle \d+ .* step"):
-            simulate_ensemble(DriftSpec.linear(-40.0), cfg)
+        with pytest.raises(NumericalOverflowError) as err:
+            simulate_ensemble(drift, cfg, n_workers=n_workers)
+        assert str(err.value) == message
 
     def test_weak_convergence_order_richardson(self):
         # Deterministic skeleton of the scheme: halving dt halves the

@@ -79,11 +79,11 @@ def main(argv=None) -> int:
         print(f"config OK: scenario '{cfg.scenario}', seed {cfg.seed}")
         return EXIT_OK
 
-    cfg = apply_overrides(cfg, seed=args.seed, output_dir=args.out)
     if args.threads < 1:
         print("--threads must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        cfg = apply_overrides(cfg, seed=args.seed, output_dir=args.out)
         summary = run_scenario(cfg, n_workers=args.threads)
     except NumericalOverflowError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

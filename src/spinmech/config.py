@@ -6,15 +6,20 @@ Grammar (one statement per line)::
     [section]                      sections: scenario, parameters, output
     key = value
 
-Values parse, in order of preference, as booleans (``true``/``false``),
-integers, floats, comma-separated number lists, and otherwise verbatim
-strings.  Parsing collects every problem (with its line number) instead of
-stopping at the first.
+``parse_sections`` keeps each value as its stripped text and collects every
+structural problem (with its line number) instead of stopping at the first.
+A value is typed only once its key is known: ``read_value`` reads it as the
+kind the key declares -- an integer within 64 bits, a finite float, a
+comma-separated list of finite floats, or the text itself.  So ``dir = 007``
+names the directory ``007`` and ``n_particles = 1e4`` is the integer 10000.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+
+from .errors import InvalidInputError
 
 SECTIONS = ("scenario", "parameters", "output")
 
@@ -39,7 +44,7 @@ class ScenarioConfig:
 
 @dataclass
 class RawItem:
-    value: object
+    text: str
     line: int
 
 
@@ -50,32 +55,48 @@ class RawConfig:
     sections: dict = field(default_factory=dict)
     errors: list = field(default_factory=list)
 
-    def get(self, section: str, key: str):
-        return self.sections.get(section, {}).get(key)
+
+def _number(text: str, expected: str) -> float:
+    """``float(text)``; the ValueError it raises says what was ``expected``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"expected {expected}, got {text!r}") from None
 
 
-def parse_value(raw: str):
-    raw = raw.strip()
-    low = raw.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    if "," in raw:
-        parts = [p.strip() for p in raw.split(",")]
+def read_value(kind: str, text: str):
+    """``text`` read as a value of ``kind``: "int", "float", "list" or "str".
+
+    Numbers must be finite and integers must fit in 64 bits; a ValueError
+    says what was expected and quotes the text.
+    """
+    if kind == "int":
         try:
-            return [float(p) for p in parts]
+            value = int(text)
         except ValueError:
-            pass
-    return raw
+            number = _number(text, "an integer")  # such as 1e4
+            if not number.is_integer():
+                raise ValueError(f"expected an integer, got {text!r}") from None
+            value = int(number)
+        if not -(2**63) <= value < 2**63:  # integers size arrays and key streams
+            raise ValueError(f"expected an integer within 64 bits, got {text!r}")
+        return value
+    if kind == "float":
+        value = _number(text, "a number")
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {text!r}")
+        return value
+    if kind == "list":
+        try:
+            values = [float(part) for part in text.split(",")]
+        except ValueError:
+            raise ValueError(f"expected a comma-separated number list, got {text!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"expected finite numbers, got {text!r}")
+        return values
+    if kind == "str":
+        return text
+    raise AssertionError(f"unknown value kind {kind}")
 
 
 def parse_sections(text: str) -> RawConfig:
@@ -119,14 +140,22 @@ def parse_sections(text: str) -> RawConfig:
                 f"(first set on line {first})"
             )
             continue
-        raw.sections[current][key] = RawItem(parse_value(value), lineno)
+        raw.sections[current][key] = RawItem(value.strip(), lineno)
     return raw
 
 
 def apply_overrides(cfg: ScenarioConfig, seed=None, output_dir=None) -> ScenarioConfig:
-    """Command-line overrides for the seed and the output directory."""
+    """Command-line overrides for the seed and the output directory.
+
+    The seed is read by the rule for ``seed =`` in the file: an integer
+    within 64 bits.
+    """
     if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
+        try:
+            seed = read_value("int", str(seed))
+        except ValueError as e:
+            raise InvalidInputError(f"--seed: {e}") from None
+        cfg = replace(cfg, seed=seed)
     if output_dir is not None:
         cfg = replace(cfg, output_dir=str(output_dir))
     return cfg

@@ -243,11 +243,6 @@ def _check_step(u_face, sigma: float, dx: float, dt: float):
         raise ConfigurationError(problems)
 
 
-def check_stability(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: float):
-    """Raise a configuration error naming whichever stability bound fails."""
-    _check_step(drift(grid.faces[1:-1], t), sigma, grid.dx, dt)
-
-
 def stable_dt(drift: DriftSpec, sigma: float, grid: Grid1D) -> float:
     """A step within both stated bounds and the positivity bound for the drift at t=0."""
     diffusive, advective, umax = _step_bounds(drift(grid.faces[1:-1], 0.0), sigma, grid.dx)

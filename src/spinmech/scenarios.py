@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import io
-from .config import RawConfig, ScenarioConfig, parse_sections
+from .config import ScenarioConfig, parse_sections, read_value
 from .control import (
     ControlLaw,
     ReferenceTrajectory,
@@ -96,54 +96,38 @@ def _non_negative(name):
     return (lambda v: v >= 0, f"{name} must be >= 0")
 
 
-def _finite(value) -> bool:
-    """True for a number that converts to a finite float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+def _read_section(section: str, items: dict, params: tuple, errors: list) -> dict:
+    """The values of one config section, each typed by its key's ``Param``.
 
-
-def _coerce(param: Param, value, line, errors):
-    """Type-check one parameter value; returns the coerced value or None."""
-    where = f"line {line}: parameters.{param.name}"
-    if param.kind == "int":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{where}: expected an integer, got {value!r}")
-            return None
-        if isinstance(value, float):
-            if not value.is_integer():
-                errors.append(f"{where}: expected an integer, got {value!r}")
-                return None
-            value = int(value)
-        if not -(2**63) <= value < 2**63:  # integers size numpy arrays
-            errors.append(f"{where}: expected an integer within 64 bits, got {value!r}")
-            return None
-        return value
-    if param.kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{where}: expected a number, got {value!r}")
-            return None
-        if not _finite(value):
-            errors.append(f"{where}: expected a finite number, got {value!r}")
-            return None
-        return float(value)
-    if param.kind == "list":
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = [value]
-        if not isinstance(value, list):
-            errors.append(f"{where}: expected a comma-separated number list, got {value!r}")
-            return None
-        if not all(_finite(v) for v in value):
-            errors.append(f"{where}: expected finite numbers, got {value!r}")
-            return None
-        return [float(v) for v in value]
-    if param.kind == "str":
-        if not isinstance(value, str):
-            errors.append(f"{where}: expected a string, got {value!r}")
-            return None
-        return value
-    raise AssertionError(f"unknown param kind {param.kind}")
+    Every value is read as its key's kind and passed through its key's
+    check; omitted keys take their defaults.  Unknown, ill-typed, failing
+    and missing required keys are appended to ``errors`` and left out.
+    """
+    by_name = {p.name: p for p in params}
+    values = {}
+    for key, item in items.items():
+        param = by_name.get(key)
+        if param is None:
+            errors.append(f"line {item.line}: unknown key '{key}' in [{section}] "
+                          f"(expected {', '.join(by_name)})")
+            continue
+        try:
+            value = read_value(param.kind, item.text)
+        except ValueError as e:
+            errors.append(f"line {item.line}: {section}.{key}: {e}")
+            continue
+        if param.check is not None and not param.check[0](value):
+            errors.append(f"line {item.line}: invalid {section}.{key}: {param.check[1]}")
+            continue
+        values[key] = value
+    for p in params:
+        if p.name in items:
+            continue
+        if p.required:
+            errors.append(f"missing required key '{p.name}' in [{section}]")
+        else:
+            values[p.name] = p.default
+    return values
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -152,88 +136,20 @@ def parse_config(text: str) -> ScenarioConfig:
     All problems are collected into one ConfigurationError (line-numbered
     where applicable) rather than failing on the first.
     """
-    raw: RawConfig = parse_sections(text)
+    raw = parse_sections(text)
     errors = list(raw.errors)
-
-    name_item = raw.get("scenario", "name")
-    seed_item = raw.get("scenario", "seed")
-    dir_item = raw.get("output", "dir")
-    for section, known in (("scenario", ("name", "seed")), ("output", ("dir",))):
-        for key, item in raw.sections[section].items():
-            if key not in known:
-                errors.append(
-                    f"line {item.line}: unknown key '{key}' in [{section}] "
-                    f"(expected {', '.join(known)})"
-                )
-
-    if name_item is None:
-        errors.append("missing required key 'name' in [scenario]")
-        scenario = None
-    else:
-        scenario = name_item.value
-        if scenario not in REGISTRY:
-            errors.append(
-                f"line {name_item.line}: unknown scenario {scenario!r}; known: "
-                + ", ".join(sorted(REGISTRY))
-            )
-            scenario = None
-
-    seed = None
-    if seed_item is None:
-        errors.append("missing required key 'seed' in [scenario]")
-    elif isinstance(seed_item.value, bool) or not isinstance(seed_item.value, int):
-        errors.append(
-            f"line {seed_item.line}: scenario.seed must be an integer, "
-            f"got {seed_item.value!r}"
-        )
-    else:
-        seed = seed_item.value
-
-    if dir_item is None:
-        errors.append("missing required key 'dir' in [output]")
-        out_dir = None
-    else:
-        out_dir = str(dir_item.value)
-
+    head = _read_section("scenario", raw.sections["scenario"], _SCENARIO_KEYS, errors)
+    output = _read_section("output", raw.sections["output"], _OUTPUT_KEYS, errors)
+    spec = REGISTRY.get(head.get("name"))
     params = {}
-    if scenario is not None:
-        spec = REGISTRY[scenario]
-        by_name = {p.name: p for p in spec.params}
-        for key, item in raw.sections["parameters"].items():
-            if key not in by_name:
-                errors.append(
-                    f"line {item.line}: unknown key '{key}' in [parameters] for "
-                    f"scenario '{scenario}'"
-                )
-                continue
-            coerced = _coerce(by_name[key], item.value, item.line, errors)
-            if coerced is not None:
-                params[key] = coerced
-        for p in spec.params:
-            if p.name in params or p.name in raw.sections["parameters"]:
-                continue
-            if p.required:
-                errors.append(
-                    f"missing required key '{p.name}' in [parameters] for "
-                    f"scenario '{scenario}'"
-                )
-            else:
-                params[p.name] = p.default
-        for p in spec.params:
-            if p.check is not None and p.name in params:
-                pred, msg = p.check
-                if not pred(params[p.name]):
-                    item = raw.sections["parameters"].get(p.name)
-                    prefix = f"line {item.line}: " if item is not None else ""
-                    errors.append(f"{prefix}invalid parameters.{p.name}: {msg}")
+    if spec is not None:
+        params = _read_section("parameters", raw.sections["parameters"], spec.params, errors)
         if spec.validator is not None and not errors:
             errors.extend(spec.validator(params))
-
     if errors:
         raise ConfigurationError(errors)
-    return ScenarioConfig(
-        scenario=scenario, parameters=params, seed=seed, output_dir=out_dir
-    )
+    return ScenarioConfig(scenario=head["name"], parameters=params, seed=head["seed"],
+                          output_dir=output["dir"])
 
 
 @dataclass(frozen=True)
@@ -373,18 +289,36 @@ def _closed_form(name: str, value):
     return value
 
 
+#: Candidates ``_auto_record`` tries from each end before it refuses.
+_STRIDE_SEARCH = 10**6
+
+
 def _auto_record(n_steps: int, requested: int, target: int = 10) -> int:
-    """A record stride that divides n_steps; 0 requests ~target checkpoints."""
+    """A record stride that divides n_steps; 0 requests ~target checkpoints.
+
+    The automatic stride is the largest divisor of n_steps that is at most
+    ``top = max(1, n_steps // target)``.  It is also ``n_steps // c`` for the
+    least divisor ``c`` of n_steps (a checkpoint count) at or above
+    ``ceil(n_steps / top)``, so the search walks down the strides and up the
+    checkpoint counts at once, and refuses after ``_STRIDE_SEARCH`` steps.
+    """
     if requested:
         if n_steps % requested != 0:
             raise ConfigurationError(
                 f"record_every={requested} does not divide n_steps={n_steps}"
             )
         return requested
-    rec = max(1, n_steps // target)
-    while n_steps % rec:
-        rec -= 1
-    return rec
+    top = max(1, n_steps // target)
+    fewest = -(-n_steps // top)
+    for k in range(_STRIDE_SEARCH):
+        if n_steps % (top - k) == 0:  # stride 1 divides, so top - k stays >= 1
+            return top - k
+        if n_steps % (fewest + k) == 0:
+            return n_steps // (fewest + k)
+    raise ConfigurationError(
+        f"n_steps={n_steps} has no divisor near n_steps / {target} to record at; "
+        "choose a step count that has one"
+    )
 
 
 def _run_ou_relax(cfg: ScenarioConfig, out: Path, n_workers: int):
@@ -597,7 +531,7 @@ def _make_reference(p: dict) -> ReferenceTrajectory:
         return ReferenceTrajectory.constant(p["level"], duration)
     if profile == "ramp":
         return ReferenceTrajectory.ramp(p["rate"], duration, start=p["level"])
-    # "sine": _validate_profile rejects any other profile at parse time
+    # "sine": the profile's check rejects any other profile at parse time
     return ReferenceTrajectory.sine(
         p["amplitude"], p["angular_freq"], duration, offset=p["level"]
     )
@@ -696,19 +630,8 @@ def _validate_spinor(p):
 
 
 def _validate_momentum(p):
-    errors = []
     if any(h <= p["t0"] for h in p["horizons"]):
-        errors.append("every horizon must exceed t0")
-    if sorted(p["horizons"]) != list(p["horizons"]):
-        errors.append("horizons must be listed in increasing order")
-    if not 0.0 < p["tail_fraction"] <= 1.0:
-        errors.append("tail_fraction must lie in (0, 1]")
-    return errors
-
-
-def _validate_profile(p):
-    if p["profile"] not in ("constant", "ramp", "sine"):
-        return [f"profile must be one of constant, ramp, sine; got {p['profile']!r}"]
+        return ["every horizon must exceed t0"]
     return []
 
 
@@ -723,7 +646,9 @@ _FIT_UNDEFINED = (
 )
 
 _TRACK_PROFILE_PARAMS = (
-    Param("profile", "str", "constant"),
+    Param("profile", "str", "constant", check=(
+        lambda v: v in ("constant", "ramp", "sine"), "profile must be one of constant, ramp, sine"
+    )),
     Param("level", "float", 1.0),
     Param("rate", "float", 1.0),
     Param("amplitude", "float", 1.0),
@@ -846,13 +771,17 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "x_t/t over the tail window shrinks as the velocity limit sets in."
         ),
         params=(
-            Param("horizons", "list", [10.0, 100.0, 1000.0]),
+            Param("horizons", "list", [10.0, 100.0, 1000.0], check=(
+                lambda v: sorted(v) == v, "horizons must be listed in increasing order"
+            )),
             Param("n_paths", "int", 1000, check=_positive("n_paths")),
             Param("steps_per_horizon", "int", 10000, check=_positive("steps_per_horizon")),
             Param("t0", "float", 1.0, check=_positive("t0")),
             Param("x0", "float", 1.0),
             Param("sigma", "float", 1.0, check=_non_negative("sigma")),
-            Param("tail_fraction", "float", 0.25),
+            Param("tail_fraction", "float", 0.25, check=(
+                lambda v: 0.0 < v <= 1.0, "tail_fraction must lie in (0, 1]"
+            )),
             Param("t_floor", "float", 1e-3, check=_positive("t_floor")),
             Param("variance_threshold", "float", 1e-3, check=_positive("variance_threshold")),
         ),
@@ -890,7 +819,6 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "steady_state_error",
         ),
         runner=_run_track_particle,
-        validator=_validate_profile,
         undefined=_FIT_UNDEFINED,
     ),
     "track_ensemble": ScenarioSpec(
@@ -917,7 +845,15 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "fitted_decay_rate",
         ),
         runner=_run_track_ensemble,
-        validator=_validate_profile,
         undefined=_FIT_UNDEFINED + "; terminal_error_variance when n_particles = 1",
     ),
 }
+
+#: The keys of [scenario] and [output]; each scenario declares its [parameters].
+_SCENARIO_KEYS = (
+    Param("name", "str", check=(
+        REGISTRY.__contains__, "unknown scenario; known: " + ", ".join(sorted(REGISTRY))
+    )),
+    Param("seed", "int"),
+)
+_OUTPUT_KEYS = (Param("dir", "str"),)

@@ -79,41 +79,25 @@ class DriftSpec:
 
 
 def drift_from_density(
-    rho0: Callable[[np.ndarray], np.ndarray],
-    sigma: float,
-    rho0_prime: Callable[[np.ndarray], np.ndarray] | None = None,
+    rho0: Callable[[np.ndarray], np.ndarray], sigma: float
 ) -> DriftSpec:
     """Drift ``u(x) = 0.5 * sigma**2 * rho0'(x) / rho0(x)`` of a stationary density.
 
     ``rho0`` must be strictly positive wherever it is evaluated; violations
-    raise at evaluation time.  When ``rho0_prime`` is omitted the
-    log-derivative is taken by central differences with a step scaled to x.
+    raise at evaluation time.  The log-derivative is taken by central
+    differences with a step scaled to x.
     """
     if sigma <= 0:
         raise InvalidInputError(f"sigma must be positive, got {sigma}")
     half_s2 = 0.5 * sigma * sigma
 
-    def check_positive(vals):
-        if np.any(np.asarray(vals) <= 0.0):
+    def u(x, t):
+        x = np.asarray(x, dtype=float)
+        h = 1e-6 * (1.0 + np.abs(x))
+        lo, hi = rho0(x - h), rho0(x + h)
+        if np.any(np.asarray(lo) <= 0.0) or np.any(np.asarray(hi) <= 0.0):
             raise InvalidInputError("density must be strictly positive on the domain")
-
-    if rho0_prime is not None:
-
-        def u(x, t, _=None):
-            x = np.asarray(x, dtype=float)
-            r = rho0(x)
-            check_positive(r)
-            return half_s2 * rho0_prime(x) / r
-
-    else:
-
-        def u(x, t, _=None):
-            x = np.asarray(x, dtype=float)
-            h = 1e-6 * (1.0 + np.abs(x))
-            lo, hi = rho0(x - h), rho0(x + h)
-            check_positive(lo)
-            check_positive(hi)
-            return half_s2 * (np.log(hi) - np.log(lo)) / (2.0 * h)
+        return half_s2 * (np.log(hi) - np.log(lo)) / (2.0 * h)
 
     return DriftSpec(u, autonomous=True)
 

@@ -1,10 +1,11 @@
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinmech.config import apply_overrides, parse_value
+from spinmech.config import apply_overrides, read_value
 from spinmech.errors import ConfigurationError
 from spinmech.scenarios import REGISTRY, parse_config
 
@@ -31,23 +32,48 @@ def errors_of(text):
     return excinfo.value.errors
 
 
-class TestParseValue:
+class TestReadValue:
+    """Each value is read as the kind its key declares, never guessed."""
+
     @pytest.mark.parametrize(
-        "raw,expected",
+        "kind,raw,expected",
         [
-            ("42", 42),
-            ("-7", -7),
-            ("1.5", 1.5),
-            ("1e-3", 1e-3),
-            ("true", True),
-            ("False", False),
-            ("hello", "hello"),
-            ("10, 100, 1000", [10.0, 100.0, 1000.0]),
-            ("out/run_1", "out/run_1"),
+            ("int", "42", 42),
+            ("int", "-7", -7),
+            ("int", "1e4", 10_000),
+            ("float", "1.5", 1.5),
+            ("float", "1e-3", 1e-3),
+            ("float", "42", 42.0),
+            ("str", "true", "true"),
+            ("str", "False", "False"),
+            ("str", "hello", "hello"),
+            ("list", "10, 100, 1000", [10.0, 100.0, 1000.0]),
+            ("list", "42", [42.0]),
+            ("str", "out/run_1", "out/run_1"),
+            ("str", "007", "007"),
         ],
     )
-    def test_typed_values(self, raw, expected):
-        assert parse_value(raw) == expected
+    def test_typed_values(self, kind, raw, expected):
+        value = read_value(kind, raw)
+        assert value == expected
+        assert type(value) is type(expected)
+
+    @pytest.mark.parametrize(
+        "kind,raw,message",
+        [
+            ("int", "1.5", "expected an integer, got '1.5'"),
+            ("int", "true", "expected an integer, got 'true'"),
+            ("int", str(2**64 + 42), "expected an integer within 64 bits"),
+            ("float", "False", "expected a number, got 'False'"),
+            ("float", "hello", "expected a number, got 'hello'"),
+            ("float", "inf", "expected a finite number, got 'inf'"),
+            ("list", "out/run_1", "expected a comma-separated number list"),
+            ("list", "1, nan", "expected finite numbers, got '1, nan'"),
+        ],
+    )
+    def test_rejected_values_quote_the_text(self, kind, raw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_value(kind, raw)
 
 
 class TestParseConfig:
@@ -117,6 +143,13 @@ bogus = 1
     def test_non_integer_particle_count_rejected(self):
         msgs = errors_of(MINIMAL_OU.replace("n_particles = 1000", "n_particles = 10.5"))
         assert any("expected an integer" in m for m in msgs)
+
+    def test_seed_in_scientific_notation_accepted(self):
+        assert parse_config(MINIMAL_OU.replace("seed = 42", "seed = 1e3")).seed == 1000
+
+    @pytest.mark.parametrize("text", ["007", "2024.10", "1,2", "true"])
+    def test_output_dir_is_kept_as_written(self, text):
+        assert parse_config(MINIMAL_OU.replace("dir = out/ou", f"dir = {text}")).output_dir == text
 
     def test_scientific_notation_particle_count_accepted(self):
         cfg = parse_config(MINIMAL_OU.replace("n_particles = 1000", "n_particles = 1e4"))

@@ -190,11 +190,7 @@ class TestFpSolve:
         def rho(x):
             return np.exp(-np.asarray(x, dtype=float) ** 4)
 
-        def rho_prime(x):
-            x = np.asarray(x, dtype=float)
-            return -4.0 * x**3 * np.exp(-(x**4))
-
-        drift = drift_from_density(rho, sigma, rho_prime)
+        drift = drift_from_density(rho, sigma)
         changes = []
         for n_cells in (64, 128):
             g = Grid1D(-2.5, 2.5, n_cells)

@@ -1,12 +1,16 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinmech import cli
 from spinmech.errors import ConfigurationError
 from spinmech.scenarios import (
     REGISTRY,
+    _auto_record,
     list_scenarios,
     parse_config,
     run_scenario,
@@ -175,6 +179,36 @@ dir = {tmp_path}
             run_scenario(parse_config(text))
 
 
+def _auto_record_by_walk(n_steps, target):
+    """Reference: walk down from n_steps // target to the first stride that divides."""
+    rec = max(1, n_steps // target)
+    while n_steps % rec:
+        rec -= 1
+    return rec
+
+
+class TestAutoRecord:
+    @given(n_steps=st.integers(1, 10**6), target=st.sampled_from([10, 100, 1000, 4000]))
+    @example(n_steps=999_983, target=10)  # a prime: stride 1
+    @example(n_steps=2 * 499_979, target=10)  # twice a prime: stride 2
+    @example(n_steps=11 * 90_901, target=10)  # stride 90901 at 11 checkpoints
+    @example(n_steps=1, target=4000)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_stride_as_the_walk(self, n_steps, target):
+        assert _auto_record(n_steps, 0, target) == _auto_record_by_walk(n_steps, target)
+
+    def test_far_stride_refused_at_once(self):
+        # 80 * 734150239091023: the nearest stride below n_steps / 4000 is 80
+        started = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="no divisor near"):
+            _auto_record(58_732_019_127_281_840, 0, target=4000)
+        assert time.perf_counter() - started < 10.0
+
+    def test_large_step_count_with_near_stride(self):
+        n_steps = 2**62
+        assert _auto_record(n_steps, 0, target=10) == 2**58
+
+
 class TestCli:
     def _write(self, tmp_path, text):
         path = tmp_path / "run.cfg"
@@ -335,6 +369,27 @@ dir = {tmp_path / "out"}
         a = (tmp_path / "a" / "trajectories.csv").read_bytes()
         b = (tmp_path / "b" / "trajectories.csv").read_bytes()
         assert a != b
+
+    @pytest.mark.parametrize("where", ["--seed", "scenario.seed"])
+    def test_seed_beyond_64_bits_exits_2_and_writes_nothing(self, tmp_path, capsys, where):
+        seed = str(2**64 + 42)
+        text = SMALL_OU.format(out=tmp_path / "out")
+        if where == "scenario.seed":
+            text = text.replace("seed = 42", f"seed = {seed}")
+        cfg = self._write(tmp_path, text)
+        flag = ["--seed", seed] if where == "--seed" else []
+        assert cli.main(["run", cfg, *flag]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{where}: expected an integer within 64 bits, got '{seed}'" in err
+        assert len(err.splitlines()) == (1 if flag else 2)  # the file's under a heading
+        assert not (tmp_path / "out").exists()
+
+    def test_numeric_looking_output_dir_is_used_as_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = self._write(tmp_path, SMALL_SG.format(out="007").replace("n = 4000", "n = 50"))
+        assert cli.main(["run", cfg]) == cli.EXIT_OK
+        assert (tmp_path / "007" / "summary.txt").exists()
+        assert not (tmp_path / "7").exists()
 
     def test_threads_flag_reproduces_bytes(self, tmp_path):
         cfg = self._write(tmp_path, SMALL_OU.format(out=tmp_path / "a"))

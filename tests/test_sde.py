@@ -78,20 +78,6 @@ class TestDriftFromDensity:
         xs = np.linspace(-3, 3, 101)
         assert np.max(np.abs(d(xs, 0.0) - (-omega * xs))) < 1e-8
 
-    def test_analytic_derivative_route(self):
-        omega, sigma = 0.8, 1.1
-
-        def rho(x):
-            return np.exp(-omega * np.asarray(x) ** 2 / sigma**2)
-
-        def rho_prime(x):
-            x = np.asarray(x)
-            return -2.0 * omega * x / sigma**2 * np.exp(-omega * x**2 / sigma**2)
-
-        d = drift_from_density(rho, sigma, rho_prime)
-        xs = np.linspace(-2, 2, 51)
-        assert np.max(np.abs(d(xs, 0.0) - (-omega * xs))) < 1e-12
-
     def test_two_gaussian_mixture_zero_crossings(self):
         # Shifted overlapping bumps: the drift vanishes at the saddle between
         # them and near each bump, located by root-finding on the analytic

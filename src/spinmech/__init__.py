@@ -15,9 +15,7 @@ from .control import (
     ControlLaw,
     ReferenceTrajectory,
     TrackingReport,
-    ensemble_mean_control,
     error_dynamics_fit,
-    flat_state_and_input,
     openloop_control,
     simulate_controlled_ensemble,
     simulate_controlled_particle,
@@ -67,7 +65,6 @@ from .stern_gerlach import (
     deflection,
     energy_transition,
     precess_moment,
-    sample_branch,
     simulate_beam,
 )
 

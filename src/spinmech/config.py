@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 from .errors import InvalidInputError
 
 SECTIONS = ("scenario", "parameters", "output")
+#: An empty output dir would quietly mean the current directory; it is refused.
+EMPTY_DIR = "the output dir must not be empty; write . for the current directory"
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,8 @@ def parse_sections(text: str) -> RawConfig:
 def apply_overrides(cfg: ScenarioConfig, seed=None, output_dir=None) -> ScenarioConfig:
     """Command-line overrides for the seed and the output directory.
 
-    The seed is read by the rule for ``seed =`` in the file: an integer
-    within 64 bits.
+    Each is read by the rule for its key in the file: the seed is an
+    integer within 64 bits and the directory is not empty.
     """
     if seed is not None:
         try:
@@ -157,5 +159,7 @@ def apply_overrides(cfg: ScenarioConfig, seed=None, output_dir=None) -> Scenario
             raise InvalidInputError(f"--seed: {e}") from None
         cfg = replace(cfg, seed=seed)
     if output_dir is not None:
+        if not str(output_dir):
+            raise InvalidInputError(f"--out: {EMPTY_DIR}")
         cfg = replace(cfg, output_dir=str(output_dir))
     return cfg

@@ -117,45 +117,6 @@ def openloop_control(law: ControlLaw, t: float) -> float:
     return _law_value(law, t)
 
 
-def flat_state_and_input(
-    y: Callable[[float], float],
-    omega: float,
-    eta: Optional[Callable[[float], float]] = None,
-    y_dot: Optional[Callable[[float], float]] = None,
-):
-    """Recover the state and input trajectories from a flat output.
-
-    For this plant the state equals the flat output and the input is
-    ``u = y' + omega y - eta``; applying the returned input to the
-    noiseless plant from ``y(0)`` reproduces ``y``.  A missing ``y_dot`` is
-    replaced by a central difference with step ``1e-6``.
-    """
-    if y_dot is None:
-        h = 1e-6
-        y_dot = lambda t: (y(t + h) - y(t - h)) / (2 * h)
-
-    def input_fn(t):
-        u = y_dot(t) + omega * y(t)
-        if eta is not None:
-            u -= eta(t)
-        return u
-
-    return y, input_fn
-
-
-def ensemble_mean_control(
-    reference: ReferenceTrajectory, omega: float
-) -> Callable[[float], float]:
-    """Mean-velocity law ``t -> omega E[v_r](t) + E[v_r'](t)``.
-
-    The disturbance term drops because per-particle disturbances are
-    assumed zero-mean; the functional form is the single-particle law with
-    a zero disturbance estimate.
-    """
-    law = ControlLaw(omega=omega, reference=reference, eta_hat=None)
-    return lambda t: openloop_control(law, t)
-
-
 @dataclass(frozen=True)
 class TrackingReport:
     """Error trace of a tracking run (per particle or ensemble mean)."""
@@ -169,6 +130,12 @@ class TrackingReport:
     fit_window: tuple[float, float]
 
 
+def _fit_window(times) -> tuple[float, float]:
+    """The default fit window: the ``FIT_WINDOW`` fractions of the run's span."""
+    span = times[-1] - times[0]
+    return times[0] + FIT_WINDOW[0] * span, times[0] + FIT_WINDOW[1] * span
+
+
 def error_dynamics_fit(errors, times, window: tuple[float, float] | None = None) -> float:
     """Least-squares slope of ``ln|e(t)|`` over a window of the run.
 
@@ -180,10 +147,7 @@ def error_dynamics_fit(errors, times, window: tuple[float, float] | None = None)
     errors = np.asarray(errors, dtype=float)
     if times.shape != errors.shape or times.ndim != 1:
         raise InvalidInputError("times and errors must be matching 1-d arrays")
-    span = times[-1] - times[0]
-    if window is None:
-        window = (times[0] + FIT_WINDOW[0] * span, times[0] + FIT_WINDOW[1] * span)
-    lo, hi = window
+    lo, hi = _fit_window(times) if window is None else window
     mask = (times >= lo) & (times <= hi)
     e = errors[mask]
     t = times[mask]
@@ -231,11 +195,11 @@ def _simulate_tracking(law: ControlLaw, cfg: SdeConfig, disturbance, n_workers: 
         else np.zeros_like(mean_err)
     )
     control = np.array([_law_value(law, t) for t in times])
+    window = _fit_window(times)
     try:
-        rate = error_dynamics_fit(mean_err, times)
+        rate = error_dynamics_fit(mean_err, times, window)
     except FitWindowError:
         rate = None
-    span = times[-1] - times[0]
     return TrackingReport(
         times=times,
         errors=mean_err,
@@ -243,7 +207,7 @@ def _simulate_tracking(law: ControlLaw, cfg: SdeConfig, disturbance, n_workers: 
         control=control,
         fitted_decay_rate=rate,
         terminal_error=float(mean_err[-1]),
-        fit_window=(times[0] + FIT_WINDOW[0] * span, times[0] + FIT_WINDOW[1] * span),
+        fit_window=window,
     )
 
 

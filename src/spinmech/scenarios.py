@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import io
-from .config import ScenarioConfig, parse_sections, read_value
+from .config import EMPTY_DIR, ScenarioConfig, parse_sections, read_value
 from .control import (
     ControlLaw,
     ReferenceTrajectory,
@@ -48,7 +48,7 @@ from .sde import (
     ou_analytic_moments,
     simulate_ensemble,
 )
-from .spin import Spinor
+from .spin import Spinor, measurement_probabilities
 from .stern_gerlach import (
     DOWN,
     UP,
@@ -213,6 +213,8 @@ def run_scenario(cfg: ScenarioConfig, n_workers: int = 1) -> RunSummary:
     try:
         metrics, artifacts = spec.runner(cfg, out, n_workers)
     except SpinmechError as e:
+        if isinstance(e, ConfigurationError):  # the CLI prints its errors one by one
+            e.errors = [f"scenario '{cfg.scenario}': {msg}" for msg in e.errors]
         e.args = (f"scenario '{cfg.scenario}': {e}",)
         raise
     missing = set(spec.metrics) - set(metrics)
@@ -461,7 +463,7 @@ def _run_stern_gerlach(cfg: ScenarioConfig, out: Path, n_workers: int):
     both = bool(p_up.size and p_dn.size)
     metrics = {
         "up_fraction": rr.up_fraction(),
-        "expected_up_fraction": float(abs(state.alpha) ** 2),
+        "expected_up_fraction": measurement_probabilities(state)[0],
         "mean_z_up": float(z_up.mean()) if z_up.size else None,
         "mean_z_down": float(z_dn.mean()) if z_dn.size else None,
         "oracle_z_up": oracle_up[0],
@@ -478,31 +480,30 @@ def _run_stern_gerlach(cfg: ScenarioConfig, out: Path, n_workers: int):
 def _run_momentum_limit(cfg: ScenarioConfig, out: Path, n_workers: int):
     p = cfg.parameters
     drift = DriftSpec.time_scaled(p["t_floor"])
-    rows = []
+    n_paths, n_steps, estimates = p["n_paths"], p["steps_per_horizon"], []
+    record_every = _auto_record(n_steps, 0, target=4000)
     for horizon in p["horizons"]:
-        n_steps = p["steps_per_horizon"]
-        dt = (horizon - p["t0"]) / n_steps
         sde_cfg = SdeConfig(
-            dt=dt,
+            dt=(horizon - p["t0"]) / n_steps,
             n_steps=n_steps,
             sigma=p["sigma"],
-            n_particles=p["n_paths"],
+            n_particles=n_paths,
             seed=cfg.seed,
             x0=p["x0"],
             t0=p["t0"],
-            record_every=_auto_record(n_steps, 0, target=4000),
+            record_every=record_every,
         )
         batch = simulate_ensemble(drift, sde_cfg, n_workers)
-        for path_idx in range(batch.n_particles):
-            est = momentum_estimate(
-                batch.times,
-                batch.paths[path_idx],
-                tail_fraction=p["tail_fraction"],
-                variance_threshold=p["variance_threshold"],
-            )
-            rows.append((horizon, path_idx, est.p_hat, est.window_variance, est.converged))
+        estimates.append(momentum_estimate(batch.times, batch.paths, p["tail_fraction"],
+                                           p["variance_threshold"]))
     momentum_header = ["horizon", "path", "p_hat", "window_variance", "converged"]
-    io.write_csv(out / "momentum.csv", momentum_header, [np.array(c) for c in zip(*rows)])
+    io.write_csv(out / "momentum.csv", momentum_header, [
+        np.repeat(p["horizons"], n_paths),
+        np.tile(np.arange(n_paths), len(estimates)),
+        np.concatenate([e.p_hat for e in estimates]),
+        np.concatenate([e.window_variance for e in estimates]),
+        np.concatenate([e.converged for e in estimates]),
+    ])
 
     table = io.read_csv(out / "momentum.csv", converters={4: lambda s: s == "true"})
     horizons = sorted(set(table[:, 0]))
@@ -856,4 +857,4 @@ _SCENARIO_KEYS = (
     )),
     Param("seed", "int"),
 )
-_OUTPUT_KEYS = (Param("dir", "str"),)
+_OUTPUT_KEYS = (Param("dir", "str", check=(bool, EMPTY_DIR)),)

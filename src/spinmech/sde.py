@@ -263,11 +263,11 @@ def simulate_ensemble(
 
 @dataclass(frozen=True)
 class MomentumEstimate:
-    """Tail-window estimate of the limiting velocity ``x_t / t``."""
+    """Tail-window estimate of ``x_t / t``: scalars for one path, arrays for rows."""
 
-    p_hat: float
-    converged: bool
-    window_variance: float
+    p_hat: float | np.ndarray
+    converged: bool | np.ndarray
+    window_variance: float | np.ndarray
 
 
 def momentum_estimate(
@@ -276,15 +276,18 @@ def momentum_estimate(
     tail_fraction: float = 0.25,
     variance_threshold: float = 1e-3,
 ) -> MomentumEstimate:
-    """Mean of ``x_t / t`` over the trailing ``tail_fraction`` of one path.
+    """Mean of ``x_t / t`` over the trailing ``tail_fraction`` of each path.
 
-    The estimate is flagged converged when the variance of ``x_t / t``
-    across the window is below ``variance_threshold``.
+    ``positions`` is one path recorded at ``times`` or an ensemble of them,
+    one path per row; the window runs along the last axis.  An estimate is
+    flagged converged when the variance of ``x_t / t`` across its window is
+    at most ``variance_threshold``.  A row of an ensemble gets exactly the
+    estimate that the row alone would get.
     """
     times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    if times.shape != positions.shape or times.ndim != 1:
-        raise InvalidInputError("times and positions must be matching 1-d arrays")
+    positions = np.asarray(positions, dtype=float, order="C")  # rows sum as 1-d paths do
+    if times.ndim != 1 or positions.ndim not in (1, 2) or positions.shape[-1] != times.size:
+        raise InvalidInputError("positions must be one path or rows of paths over 1-d times")
     if not 0.0 < tail_fraction <= 1.0:
         raise InvalidInputError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
     n_tail = int(math.ceil(times.size * tail_fraction))
@@ -293,18 +296,16 @@ def momentum_estimate(
             f"tail window has {n_tail} samples; need at least 10"
         )
     tw = times[-n_tail:]
-    xw = positions[-n_tail:]
     if tw[0] <= 0.0:
         raise InvalidInputError("tail window must contain strictly positive times")
-    ratio = xw / tw
-    wvar = float(ratio.var())
-    if not math.isfinite(wvar):  # a finite variance implies a finite mean
+    ratio = positions[..., -n_tail:] / tw
+    wvar = ratio.var(axis=-1)
+    if not np.all(np.isfinite(wvar)):  # a finite variance implies a finite mean
         raise NumericalOverflowError("x_t / t overflows in the tail window")
-    return MomentumEstimate(
-        p_hat=float(ratio.mean()),
-        converged=wvar <= variance_threshold,
-        window_variance=wvar,
-    )
+    p_hat, converged = ratio.mean(axis=-1), wvar <= variance_threshold
+    if positions.ndim == 1:
+        return MomentumEstimate(float(p_hat), bool(converged), float(wvar))
+    return MomentumEstimate(p_hat, converged, wvar)
 
 
 def ou_analytic_moments(x0: float, omega: float, sigma: float, t):

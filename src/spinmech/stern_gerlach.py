@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidInputError, NumericalOverflowError
 from .rng import particle_stream
 from .sde import OVERFLOW_LIMIT
-from .spin import Spinor
+from .spin import Spinor, measurement_probabilities
 
 UP = "up"
 DOWN = "down"
@@ -104,13 +104,6 @@ class PlateRecords:
         return self.z_final[mask], self.p_final[mask]
 
 
-def sample_branch(state: Spinor, u: float) -> str:
-    """Deterministic branch choice: up iff ``u < |alpha|^2``."""
-    if not 0.0 <= u < 1.0:
-        raise InvalidInputError(f"u must lie in [0, 1), got {u}")
-    return UP if u < abs(state.alpha) ** 2 else DOWN
-
-
 def deflection(branch: str, cfg: BeamConfig) -> tuple[float, float]:
     """Plate position and transverse momentum for one branch.
 
@@ -138,7 +131,7 @@ def simulate_beam(state: Spinor, cfg: BeamConfig, n: int, seed: int) -> PlateRec
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    p_up = abs(state.alpha) ** 2
+    p_up, _ = measurement_probabilities(state)
     z_up, p_mom_up = deflection(UP, cfg)
     z_dn, p_mom_dn = deflection(DOWN, cfg)
     is_up = np.empty(n, dtype=bool)

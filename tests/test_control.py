@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from spinmech.control import (
     ControlLaw,
     ReferenceTrajectory,
-    ensemble_mean_control,
     error_dynamics_fit,
-    flat_state_and_input,
     openloop_control,
     simulate_controlled_ensemble,
     simulate_controlled_particle,
@@ -45,6 +43,9 @@ class TestReferenceTrajectory:
     def test_finite_difference_fallback(self):
         ref = ReferenceTrajectory(math.sin, None, duration=5.0)
         assert abs(ref.v_r_dot(1.0) - math.cos(1.0)) < 1e-6
+        # the law then runs on the difference quotient
+        u = openloop_control(ControlLaw(1.0, ref), 1.0)
+        assert abs(u - (math.cos(1.0) + math.sin(1.0))) < 1e-4
 
     def test_duration_must_be_positive(self):
         with pytest.raises(InvalidInputError):
@@ -69,10 +70,18 @@ class TestControlLaw:
 
 
 class TestOpenloopControl:
-    def test_constant_reference(self):
-        law = ControlLaw(2.0, ReferenceTrajectory.constant(1.0, 10.0))
-        for t in (0.0, 1.0, 9.9):
-            assert openloop_control(law, t) == 2.0
+    @pytest.mark.parametrize("reference,omega,expected", [
+        (ReferenceTrajectory.constant(1.0, 10.0), 2.0, lambda t: 2.0),
+        (ReferenceTrajectory.constant(1.0, 10.0), 1.0, lambda t: 1.0),
+        (ReferenceTrajectory.constant(2.0, 10.0), 3.0, lambda t: 6.0),
+        # equilibrium: a zero output needs a zero input
+        (ReferenceTrajectory.constant(0.0, 10.0), 1.0, lambda t: 0.0),
+        (ReferenceTrajectory.ramp(1.0, 10.0), 2.0, lambda t: 2.0 * t + 1.0),
+    ])
+    def test_polynomial_reference(self, reference, omega, expected):
+        law = ControlLaw(omega, reference)
+        for t in (0.0, 1.0, 3.0, 9.9):
+            assert openloop_control(law, t) == expected(t)
 
     def test_reference_matching_unforced_decay(self):
         # v_r = e^{-t} with omega = 1 needs no input at all
@@ -89,12 +98,21 @@ class TestOpenloopControl:
         for t in (0.1, 2.0, 7.5):
             expected = math.sin(t) + math.cos(t) - 0.3
             assert abs(openloop_control(law, t) - expected) < 1e-14
-        # cross-check via the flat-output reconstruction with eta = eta_hat
-        _, u_fn = flat_state_and_input(
-            math.sin, omega=1.0, eta=lambda t: 0.3, y_dot=math.cos
-        )
-        for t in (0.1, 2.0, 7.5):
-            assert abs(openloop_control(law, t) - u_fn(t)) < 1e-14
+
+    def test_round_trip_reproduces_reference(self):
+        # forward-integrating the noiseless plant under the law from v_r(0)
+        # recovers the reference; the global error shrinks ~linearly in dt
+        omega = 2.0
+        law = ControlLaw(omega, ReferenceTrajectory(math.sin, math.cos, duration=2.0))
+        u = lambda t: openloop_control(law, t)
+        errors = []
+        for dt in (1e-3, 5e-4):
+            n = int(round(2.0 / dt))
+            vs = euler_forward(omega, u, law.reference.v_r(0.0), dt, n)
+            ts = np.arange(n + 1) * dt
+            errors.append(np.max(np.abs(vs - np.sin(ts))))
+        assert errors[0] < 2e-3
+        assert 1.6 < errors[0] / errors[1] < 2.4
 
     def test_out_of_range_rejected(self):
         law = ControlLaw(1.0, ReferenceTrajectory.constant(1.0, 1.0))
@@ -113,49 +131,6 @@ class TestOpenloopControl:
         u1 = openloop_control(ControlLaw(omega, base), t)
         u2 = openloop_control(ControlLaw(omega, scaled), t)
         assert abs(u2 - scale * u1) < 1e-9 * (1 + abs(u1))
-
-
-class TestFlatStateAndInput:
-    def test_equilibrium(self):
-        state, u = flat_state_and_input(lambda t: 0.0, omega=1.0, y_dot=lambda t: 0.0)
-        assert u(0.3) == 0.0
-        assert state(0.3) == 0.0
-
-    def test_constant_output(self):
-        _, u = flat_state_and_input(lambda t: 2.0, omega=3.0, y_dot=lambda t: 0.0)
-        assert u(1.0) == 6.0
-
-    def test_round_trip_reproduces_output(self):
-        # forward-integrating the plant with the reconstructed input
-        # recovers the flat output; the global error shrinks ~linearly in dt
-        omega = 2.0
-        state, u = flat_state_and_input(math.sin, omega=omega, y_dot=math.cos)
-        errors = []
-        for dt in (1e-3, 5e-4):
-            n = int(round(2.0 / dt))
-            vs = euler_forward(omega, u, state(0.0), dt, n)
-            ts = np.arange(n + 1) * dt
-            errors.append(np.max(np.abs(vs - np.sin(ts))))
-        assert errors[0] < 2e-3
-        assert 1.6 < errors[0] / errors[1] < 2.4
-
-    def test_finite_difference_derivative_fallback(self):
-        _, u = flat_state_and_input(math.sin, omega=1.0)
-        assert abs(u(1.0) - (math.cos(1.0) + math.sin(1.0))) < 1e-4
-
-
-class TestEnsembleMeanControl:
-    def test_constant_mean_reference(self):
-        u = ensemble_mean_control(ReferenceTrajectory.constant(1.0, 5.0), omega=1.0)
-        assert u(2.0) == 1.0
-
-    def test_zero_reference(self):
-        u = ensemble_mean_control(ReferenceTrajectory.constant(0.0, 5.0), omega=1.0)
-        assert u(1.0) == 0.0
-
-    def test_ramp_reference(self):
-        u = ensemble_mean_control(ReferenceTrajectory.ramp(1.0, 5.0), omega=2.0)
-        assert abs(u(3.0) - (2.0 * 3.0 + 1.0)) < 1e-12
 
 
 class TestErrorDynamicsFit:

@@ -391,6 +391,37 @@ dir = {tmp_path / "out"}
         assert (tmp_path / "007" / "summary.txt").exists()
         assert not (tmp_path / "7").exists()
 
+    def test_dot_output_dir_is_the_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = self._write(tmp_path, SMALL_SG.format(out=".").replace("n = 4000", "n = 50"))
+        assert cli.main(["run", cfg]) == cli.EXIT_OK
+        assert (tmp_path / "summary.txt").exists()
+
+    @pytest.mark.parametrize("where", ["--out", "output.dir"])
+    def test_empty_output_dir_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, where
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        flag = ["--out", ""] if where == "--out" else []
+        text = SMALL_SG.format(out="sg" if flag else "").replace("n = 4000", "n = 50")
+        assert cli.main(["run", self._write(tmp_path, text), *flag]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{where}: the output dir must not be empty" in err
+        assert len(err.splitlines()) == (1 if flag else 2)  # the file's under a heading
+        assert list(work.iterdir()) == []
+
+    def test_run_time_config_error_names_the_scenario(self, tmp_path, capsys):
+        text = SMALL_OU.format(out=tmp_path / "out").replace(
+            "dt = 2e-3", "dt = 2e-3\nrecord_every = 7"
+        )
+        assert cli.main(["run", self._write(tmp_path, text)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration errors:",
+            "  - scenario 'ou_relax': record_every=7 does not divide n_steps=500",
+        ]
+
     def test_threads_flag_reproduces_bytes(self, tmp_path):
         cfg = self._write(tmp_path, SMALL_OU.format(out=tmp_path / "a"))
         assert cli.main(["run", cfg, "--out", str(tmp_path / "a")]) == cli.EXIT_OK

@@ -330,6 +330,33 @@ class TestMomentumEstimate:
         with pytest.raises(InvalidInputError):
             momentum_estimate(t, t, tail_fraction=0.0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_ensemble_rows_equal_single_paths(self, order):
+        rng = np.random.default_rng(11)
+        t = np.linspace(0.5, 20.0, 4001)
+        paths = 0.3 * t + np.cumsum(rng.standard_normal((64, t.size)), axis=1)
+        paths[5] = 2.0 * t  # converged exactly
+        paths = np.asarray(paths, order=order)
+        est = momentum_estimate(t, paths, tail_fraction=0.3, variance_threshold=0.05)
+        rows = [momentum_estimate(t, x, tail_fraction=0.3, variance_threshold=0.05)
+                for x in paths]
+        assert np.array_equal(est.p_hat, [r.p_hat for r in rows])
+        assert np.array_equal(est.window_variance, [r.window_variance for r in rows])
+        assert np.array_equal(est.converged, [r.converged for r in rows])
+        assert est.converged[5] and not est.converged.all()
+
+    def test_ensemble_with_an_overflowing_row(self):
+        t = np.linspace(1.0, 2.0, 50)
+        paths = np.tile(t, (4, 1))
+        paths[2, -1] = 1e308  # x_t / t is finite, its variance is not
+        with pytest.raises(NumericalOverflowError, match="overflows"):
+            momentum_estimate(t, paths)
+
+    @pytest.mark.parametrize("positions", [np.ones(49), np.ones((3, 49)), np.ones((2, 3, 50))])
+    def test_positions_must_run_over_the_times(self, positions):
+        with pytest.raises(InvalidInputError, match="one path"):
+            momentum_estimate(np.linspace(1, 2, 50), positions)
+
 
 class TestOuAnalyticMoments:
     def test_initial_condition(self):

@@ -22,7 +22,6 @@ from spinmech.stern_gerlach import (
     deflection,
     energy_transition,
     precess_moment,
-    sample_branch,
     simulate_beam,
 )
 
@@ -68,28 +67,6 @@ class TestBeamConfig:
         assert cfg.moment_z(DOWN) == -3.0
 
 
-class TestSampleBranch:
-    def test_pure_up_state(self):
-        for u in (0.0, 0.3, 0.999999):
-            assert sample_branch(Spinor.up(), u) == UP
-
-    def test_pure_down_state(self):
-        for u in (0.0, 0.5, 0.999999):
-            assert sample_branch(Spinor.down(), u) == DOWN
-
-    def test_born_fraction_deterministic_sweep(self):
-        # evaluating on an equally spaced u grid recovers |alpha|^2 exactly
-        state = Spinor(0.6, 0.8)
-        n = 10_000
-        us = (np.arange(n) + 0.5) / n
-        ups = sum(sample_branch(state, u) == UP for u in us)
-        assert ups / n == pytest.approx(0.36, abs=1e-4)
-
-    def test_u_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            sample_branch(Spinor.up(), 1.0)
-
-
 class TestDeflection:
     def test_no_gradient_no_deflection(self):
         with pytest.warns(RuntimeWarning):
@@ -121,12 +98,13 @@ class TestDeflection:
 
 
 class TestSimulateBeam:
-    def test_pure_state_is_deterministic(self):
+    @pytest.mark.parametrize("state,branch", [(Spinor.up(), UP), (Spinor.down(), DOWN)])
+    def test_pure_state_is_deterministic(self, state, branch):
         cfg = beam_cfg(sigma_z=0.0)
-        records = simulate_beam(Spinor.up(), cfg, 100, seed=1)
-        z_up, _ = deflection(UP, cfg)
-        assert np.all(records.is_up)
-        assert np.all(records.z_final == z_up)
+        records = simulate_beam(state, cfg, 100, seed=1)
+        z_branch, _ = deflection(branch, cfg)
+        assert np.all(records.is_up == (branch == UP))
+        assert np.all(records.z_final == z_branch)
 
     def test_born_statistics(self):
         n = 100_000

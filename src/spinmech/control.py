@@ -216,7 +216,6 @@ def simulate_controlled_particle(
     v0: float,
     cfg: SdeConfig,
     disturbance: Optional[Callable[[float], float]] = None,
-    n_workers: int = 1,
 ) -> TrackingReport:
     """Track one particle (or a noiseless copy) under the open-loop law.
 
@@ -225,7 +224,7 @@ def simulate_controlled_particle(
     ``eta_hat`` matching the disturbance and ``sigma = 0`` the error decays
     as ``e(0) exp(-omega t)`` up to integrator error.
     """
-    return _simulate_tracking(law, replace(cfg, x0=v0), disturbance, n_workers)
+    return _simulate_tracking(law, replace(cfg, x0=v0), disturbance, n_workers=1)
 
 
 def simulate_controlled_ensemble(

@@ -16,13 +16,11 @@ Time stepping is explicit with checked stability bounds; grids here are
 small enough that implicit solvers would buy nothing but opacity.
 
 A drift marked ``DriftSpec.autonomous`` (linear, from-density, tabulated)
-does not read ``t``, so :func:`fp_solve` checks stability, evaluates the
-face drift and builds the fitted weights once, for the largest step it
-takes, then steps raw arrays and validates a :class:`DensityField` only at
-snapshots.  Any other drift (time-scaled, the controlled plants) is checked
-and weighted at every step's ``t``.  The negative-density guard and the
-clip run at every step on both paths, and both share :func:`fp_step`'s
-update kernel, so the output bits are the same.
+does not read ``t``, so :func:`fp_solve` checks stability and builds the
+face flux at its first step, the largest, and keeps it; any other drift is
+checked and weighted at every step's ``t``.  Either way it steps raw arrays
+through :func:`fp_step`'s update kernel, negative-density guard and clip,
+and validates a :class:`DensityField` only at snapshots.
 """
 
 from __future__ import annotations
@@ -297,36 +295,28 @@ def fp_solve(
         raise InvalidInputError("output times must lie in [0, t_final]")
 
     grid = rho0.grid
+    # ceil with protection against 2.0000000000000004-style float dust
+    n_steps = max(int(np.ceil(t_final / dt - 1e-12)), 0) if t_final > 0 else 0
     times: list[float] = []
     snaps: list[DensityField] = []
     t = 0.0
     next_out = 0
-    while next_out < len(wanted) and wanted[next_out] <= t + 1e-12:
-        times.append(t)
-        snaps.append(rho0)
-        next_out += 1
-    # ceil with protection against 2.0000000000000004-style float dust
-    n_steps = max(int(np.ceil(t_final / dt - 1e-12)), 0) if t_final > 0 else 0
-    hoisted = drift.autonomous and n_steps > 0
-    if hoisted:
-        flux = _checked_flux(drift, sigma, grid, t, min(dt, t_final))
     values = rho0.values
     warned = False
-    for _ in range(n_steps):
-        step = min(dt, t_final - t)
-        if not hoisted:
-            flux = _checked_flux(drift, sigma, grid, t, step)
-        if not warned:
-            warned = _warn_boundary_mass(values, grid.dx)
-        values = _advance(values, flux, grid.dx, step)
-        t = min(t + step, t_final)
-        while next_out < len(wanted) and wanted[next_out] <= t + 1e-12:
+    for k in range(n_steps + 1):
+        if k:
+            step = min(dt, t_final - t)
+            if k == 1 or not drift.autonomous:  # the first step is the largest
+                flux = _checked_flux(drift, sigma, grid, t, step)
+            if not warned:
+                warned = _warn_boundary_mass(values, grid.dx)
+            values = _advance(values, flux, grid.dx, step)
+            t = min(t + step, t_final)
+        # after the last step every time is due, though rounding may leave t a few ulps short
+        while next_out < len(wanted) and (wanted[next_out] <= t + 1e-12 or k == n_steps):
             times.append(t)
-            snaps.append(DensityField(grid, values))
+            snaps.append(DensityField(grid, values) if k else rho0)
             next_out += 1
-    if next_out < len(wanted):  # rounding left t a few ulps short of t_final
-        times += [t] * (len(wanted) - next_out)
-        snaps += [DensityField(grid, values)] * (len(wanted) - next_out)
     return np.asarray(times), snaps
 
 

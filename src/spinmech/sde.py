@@ -298,8 +298,9 @@ def momentum_estimate(
     tw = times[-n_tail:]
     if tw[0] <= 0.0:
         raise InvalidInputError("tail window must contain strictly positive times")
-    ratio = positions[..., -n_tail:] / tw
-    wvar = ratio.var(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        ratio = positions[..., -n_tail:] / tw
+        wvar = ratio.var(axis=-1)
     if not np.all(np.isfinite(wvar)):  # a finite variance implies a finite mean
         raise NumericalOverflowError("x_t / t overflows in the tail window")
     p_hat, converged = ratio.mean(axis=-1), wvar <= variance_threshold

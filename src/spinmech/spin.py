@@ -36,6 +36,12 @@ _PAULI = {
 }
 
 
+def _squared_norm(alpha: complex, beta: complex) -> float:
+    """``|alpha|^2 + |beta|^2`` from products: huge amplitudes give inf, never raise."""
+    a, b = complex(alpha), complex(beta)
+    return a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
+
+
 @dataclass(frozen=True)
 class Spinor:
     """Normalized two-component state ``alpha * up + beta * down``.
@@ -49,14 +55,10 @@ class Spinor:
     beta: complex
 
     def __post_init__(self):
-        a = complex(self.alpha)
-        b = complex(self.beta)
-        n2 = abs(a) ** 2 + abs(b) ** 2
-        if not np.isfinite(n2) or abs(n2 - 1.0) > NORM_VALIDATION_TOL:
-            raise InvalidInputError(
-                f"spinor squared norm is {n2!r}; must equal 1 within "
-                f"{NORM_VALIDATION_TOL}"
-            )
+        a, b = complex(self.alpha), complex(self.beta)
+        n2 = _squared_norm(a, b)
+        if not abs(n2 - 1.0) <= NORM_VALIDATION_TOL:  # inf and NaN fail too
+            raise InvalidInputError(f"|alpha|^2 + |beta|^2 is {n2!r}; must equal 1 within 1e-9")
         scale = np.sqrt(n2)
         object.__setattr__(self, "alpha", a / scale)
         object.__setattr__(self, "beta", b / scale)
@@ -71,17 +73,20 @@ class Spinor:
 
     @classmethod
     def from_unnormalized(cls, alpha: complex, beta: complex) -> "Spinor":
-        """Build a state from any nonzero amplitude pair."""
-        norm = np.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        if not np.isfinite(norm) or norm == 0.0:
+        """Build a state from any nonzero, finite amplitude pair."""
+        parts = np.array([alpha, beta], dtype=complex).view(float)
+        largest = np.abs(parts).max()  # scale first: huge parts overflow the norm
+        if not 0.0 < largest < np.inf:  # a NaN fails too
             raise InvalidInputError("cannot normalize a zero or non-finite spinor")
-        return cls(alpha / norm, beta / norm)
+        scaled = parts / largest
+        unit = scaled / np.sqrt(_squared_norm(*scaled.view(complex)))
+        return cls(*unit.view(complex))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)
 
     def norm(self) -> float:
-        return float(np.sqrt(abs(self.alpha) ** 2 + abs(self.beta) ** 2))
+        return float(np.sqrt(_squared_norm(self.alpha, self.beta)))
 
     def overlap(self, other: "Spinor") -> complex:
         """Inner product ``<self|other>``."""
@@ -131,9 +136,9 @@ def pauli(axis: str, hbar: float = 1.0) -> SpinOperator:
     """Measurement operator ``(hbar/2) * sigma_axis`` for axis x, y or z."""
     if axis not in _PAULI:
         raise InvalidInputError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if not np.isfinite(hbar) or hbar <= 0:
-        raise InvalidInputError(f"hbar must be positive, got {hbar}")
-    return SpinOperator(0.5 * hbar * _PAULI[axis], hbar=hbar)
+    with np.errstate(invalid="ignore"):  # SpinOperator rejects a non-finite hbar
+        entries = 0.5 * hbar * _PAULI[axis]
+    return SpinOperator(entries, hbar=hbar)
 
 
 def spin_hamiltonian(omega0: float, hbar: float = 1.0) -> SpinOperator:

@@ -164,7 +164,7 @@ def energy_transition(
         raise InvalidInputError(f"mass must be positive, got {mass}")
     if mode not in ("literal", "kinetic"):
         raise InvalidInputError(f"mode must be 'literal' or 'kinetic', got {mode!r}")
-    diff = abs(p_plus) ** 2 - abs(p_minus) ** 2
+    diff = p_plus * p_plus - p_minus * p_minus  # products overflow to inf; ** raises
     energy = mass * diff if mode == "literal" else diff / (2.0 * mass)
     if not math.isfinite(energy):
         raise NumericalOverflowError(f"{mode} energy change overflowed")

@@ -257,6 +257,9 @@ FOUND = [
     # beta_im ** 2 raised OverflowError in the spinor check
     ("stern_gerlach", 0, {"alpha_re": 0.6, "beta_re": 0.8, "n": 20,
                           "beta_im": 1.3407807929942597e154}),
+    # sigma ** 2 raised OverflowError in the stationary error variance
+    ("track_ensemble", 1, {"omega": 1.0, "sigma": 1e155, "n_particles": 2, "t_final": 1e-300,
+                           "dt": 1e-300}),
     # sigma**2 underflows to 0: division by zero in the step bounds
     ("mc_fp_xval", 0, {"omega": 1.0, "sigma": 1.4503337540320172e-266, "n_particles": 8,
                        "n_cells": 16, "t_final": 1, "dt_mc": 1.0}),

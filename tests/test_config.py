@@ -189,6 +189,11 @@ class TestInvariantPropagation:
                 {"alpha_re": 0.6, "beta_re": 0.9, "n": 10},
                 "must equal 1 within 1e-9",
             ),
+            (
+                "stern_gerlach",
+                {"alpha_re": 1e200, "beta_re": 0, "n": 10},
+                "must equal 1 within 1e-9",
+            ),
             ("stern_gerlach", {"alpha_re": 0.6, "beta_re": 0.8, "n": 10, "b_z": -1}, "b_z must be > 0"),
             ("stern_gerlach", {"alpha_re": 0.6, "beta_re": 0.8, "n": 10, "mass": 0}, "mass must be > 0"),
             (
@@ -199,6 +204,11 @@ class TestInvariantPropagation:
             (
                 "momentum_limit",
                 {"horizons": "100, 10"},
+                "increasing order",
+            ),
+            (
+                "momentum_limit",
+                {"horizons": "10, 10, 20"},
                 "increasing order",
             ),
             (

@@ -154,6 +154,16 @@ class TestFpSolve:
         assert len(snaps) == 1
         assert times[0] == pytest.approx(t_final, rel=1e-15)
 
+    def test_start_and_repeated_final_snapshots_when_steps_sum_short(self):
+        g = Grid1D(-1000.0, 1000.0, 16)
+        t_final = 6 * 3333.3
+        f = gaussian_field(g, std=100.0)
+        times, snaps = fp_solve(f, ZERO_DRIFT, 1e-3, t_final, 3333.3, [0.0, t_final, t_final])
+        assert times[0] == 0.0 and snaps[0] is f
+        assert times[1] == times[2] == pytest.approx(t_final, rel=1e-15)
+        final = step_chain(f, ZERO_DRIFT, 1e-3, t_final, 3333.3).values
+        assert np.array_equal(snaps[1].values, final) and np.array_equal(snaps[2].values, final)
+
     def test_mean_decay_matches_analytic(self):
         omega, sigma = 1.0, 1.0
         g = Grid1D(-4.0, 4.0, 512)

@@ -72,9 +72,10 @@ class TestPauli:
         with pytest.raises(InvalidInputError):
             pauli("w")
 
-    def test_invalid_hbar(self):
-        with pytest.raises(InvalidInputError):
-            pauli("z", hbar=0.0)
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])
+    def test_invalid_hbar(self, hbar):
+        with pytest.raises(InvalidInputError, match="hbar must be positive"):
+            pauli("z", hbar=hbar)
 
     def test_hermiticity_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -114,9 +115,10 @@ class TestEnergyLevels:
 
 
 class TestSpinor:
-    def test_rejects_non_normalized(self):
-        with pytest.raises(InvalidInputError):
-            Spinor(0.6, 0.9)
+    @pytest.mark.parametrize("alpha, beta", [(0.6, 0.9), (1e200, 0)])
+    def test_rejects_non_normalized(self, alpha, beta):
+        with pytest.raises(InvalidInputError, match="must equal 1 within 1e-9"):
+            Spinor(alpha, beta)
 
     def test_renormalizes_within_tolerance(self):
         eps = 4e-10
@@ -127,6 +129,14 @@ class TestSpinor:
         s = Spinor.from_unnormalized(3.0, 4.0j)
         assert abs(s.norm() - 1.0) < 1e-12
         assert abs(s.alpha - 0.6) < 1e-12
+
+    @pytest.mark.parametrize("alpha, beta, expected", [
+        (1e200, 0, Spinor.up()),  # the squares overflow
+        (1e308 + 1e308j, 1e308, Spinor.from_unnormalized(1 + 1j, 1)),
+        (1e-320, 0, Spinor.up()),  # the squares underflow to zero
+    ])
+    def test_from_unnormalized_scales_before_squaring(self, alpha, beta, expected):
+        assert Spinor.from_unnormalized(alpha, beta) == expected
 
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinmech
-from spinmech.errors import InvalidInputError
+from spinmech.errors import InvalidInputError, NumericalOverflowError
 from spinmech.sde import momentum_estimate
 from spinmech.spin import Spinor
 from spinmech.stern_gerlach import (
@@ -210,6 +210,11 @@ class TestEnergyTransition:
     def test_bad_mass(self):
         with pytest.raises(InvalidInputError):
             energy_transition(1.0, 2.0, 0.0)
+
+    @pytest.mark.parametrize("mode", ["literal", "kinetic"])
+    def test_overflow_is_a_numerical_error(self, mode):
+        with pytest.raises(NumericalOverflowError, match=f"{mode} energy change overflowed"):
+            energy_transition(1e200, 0.0, 1.0, mode)
 
     # magnitudes stay clear of the subnormal range so |p|^2 cannot
     # underflow to zero and fake a vanishing transition

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import FitWindowError, InvalidInputError, NumericalOverflowError
+from .errors import FitWindowError, InvalidInputError, NumericalOverflowError, check_number
 from .sde import DriftSpec, SdeConfig, simulate_ensemble
 
 #: Relative agreement required between v_r_dot and a central difference of v_r.
@@ -47,9 +47,7 @@ class ReferenceTrajectory:
     duration: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.duration) and self.duration > 0):
-            raise InvalidInputError(f"duration must be positive, got {self.duration}")
-        h = 1e-5 * self.duration
+        h = 1e-5 * check_number("duration", self.duration, positive=True)
         if h == 0.0:  # a subnormal duration
             raise InvalidInputError(f"duration {self.duration!r} has no difference step")
         v = self.v_r
@@ -57,10 +55,10 @@ class ReferenceTrajectory:
         if self.v_r_dot is None:
             object.__setattr__(self, "v_r_dot", central)
             return
-        for t in np.linspace(2 * h, self.duration - 2 * h, 33):
+        for t in np.linspace(2 * h, self.duration - 2 * h, 33).tolist():  # no numpy warnings
             fd = central(t)
-            stated = self.v_r_dot(t)
-            if abs(fd - stated) > DERIVATIVE_CONSISTENCY_TOL * (1.0 + abs(stated)):
+            stated = check_number(f"v_r_dot({t:g})", self.v_r_dot(t))
+            if not abs(fd - stated) <= DERIVATIVE_CONSISTENCY_TOL * (1.0 + abs(stated)):
                 raise InvalidInputError(
                     f"v_r_dot({t:g}) = {stated:g} disagrees with the central "
                     f"difference {fd:g} of v_r"
@@ -78,6 +76,7 @@ class ReferenceTrajectory:
     def sine(
         cls, amplitude: float, angular_freq: float, duration: float, offset: float = 0.0
     ) -> "ReferenceTrajectory":
+        check_number("angular_freq * duration", angular_freq * duration)  # math.sin(inf) raises
         return cls(
             lambda t: offset + amplitude * math.sin(angular_freq * t),
             lambda t: amplitude * angular_freq * math.cos(angular_freq * t),
@@ -94,10 +93,7 @@ class ControlLaw:
     eta_hat: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise InvalidInputError(
-                f"omega must be positive for stable error dynamics, got {self.omega}"
-            )
+        check_number("omega", self.omega, positive=True)  # stable error dynamics
 
 
 def _law_value(law: ControlLaw, t: float) -> float:

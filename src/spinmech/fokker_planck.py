@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, NumericalOverflowError
+from .errors import ConfigurationError, InvalidInputError, NumericalOverflowError, check_number
 from .sde import DriftSpec, TrajectoryBatch
 
 #: Mass in the two edge cells above this fraction triggers a runtime warning.
@@ -53,12 +53,9 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise InvalidInputError(
-                f"need x_min < x_max, got [{self.x_min}, {self.x_max}]"
-            )
-        if self.n_cells < 16:
-            raise InvalidInputError(f"n_cells must be >= 16, got {self.n_cells}")
+        check_number("x_min", self.x_min)
+        check_number("x_max - x_min", self.x_max - self.x_min, positive=True)
+        check_number("n_cells", self.n_cells, 16)
 
     @property
     def dx(self) -> float:
@@ -99,10 +96,11 @@ class DensityField:
             raise InvalidInputError(
                 f"values shape {v.shape} does not match {self.grid.n_cells} cells"
             )
-        if np.any(v < 0.0):
+        if not np.all(v >= 0.0):  # a NaN fails too
             raise InvalidInputError("density values must be non-negative")
-        mass = float(v.sum() * self.grid.dx)
-        if abs(mass - 1.0) > MASS_TOL:
+        with np.errstate(over="ignore"):  # an overflowed mass fails below
+            mass = float(v.sum() * self.grid.dx)
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise InvalidInputError(
                 f"density mass is {mass!r}; must equal 1 within {MASS_TOL}"
             )
@@ -114,7 +112,7 @@ class DensityField:
         """Evaluate ``fn`` at cell centers and normalize to unit mass."""
         raw = np.asarray(fn(grid.centers), dtype=float)
         if np.any(raw < 0.0) or not np.all(np.isfinite(raw)):
-            raise InvalidInputError("density function must be finite and >= 0")
+            raise InvalidInputError("density function must give finite values >= 0")
         total = raw.sum() * grid.dx
         if total <= 0.0:
             raise InvalidInputError("density function integrates to zero")
@@ -172,8 +170,8 @@ def _face_flux(u_face, sigma, dx):
 
 def _checked_flux(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: float):
     """Check a step of ``dt`` at ``t`` against both bounds; the face flux there."""
-    if sigma < 0:
-        raise InvalidInputError(f"sigma must be >= 0, got {sigma}")
+    check_number("sigma", sigma, 0.0)
+    check_number("dt", dt, positive=True)
     u_face = np.asarray(drift(grid.faces[1:-1], t), dtype=float)
     _check_step(u_face, sigma, grid.dx, dt)
     return _face_flux(u_face, sigma, grid.dx)
@@ -205,9 +203,9 @@ def _advance(values: np.ndarray, flux, dx: float, dt: float) -> np.ndarray:
     new[:-1] -= scale * f
     new[1:] += scale * f
     low = float(new.min())
-    if low < NEGATIVE_FLOOR:
+    if not low >= NEGATIVE_FLOOR:  # a NaN fails too
         raise NumericalOverflowError(
-            f"density went negative ({low:g}); step is unstable for this drift"
+            f"density went negative or NaN ({low:g}); step is unstable for this drift"
         )
     if low < 0.0:
         new = np.where(new < 0.0, 0.0, new)
@@ -282,8 +280,8 @@ def fp_solve(
     check and the face flux are built once, for the largest step taken.  The
     boundary-mass warning is emitted at most once per call.
     """
-    if t_final < 0:
-        raise InvalidInputError(f"t_final must be >= 0, got {t_final}")
+    check_number("t_final", t_final, 0.0)
+    check_number("dt", dt, positive=True)
     if not t_final / dt < 2**63:  # an inf ratio fails too
         raise InvalidInputError(
             f"t_final={t_final:g} / dt={dt:g} is more steps than fit in 64 bits"
@@ -291,7 +289,7 @@ def fp_solve(
     if output_times is None:
         output_times = [t_final]
     wanted = sorted(float(t) for t in output_times)
-    if wanted and (wanted[0] < 0 or wanted[-1] > t_final + 1e-12):
+    if not all(0.0 <= t <= t_final + 1e-12 for t in wanted):  # a NaN fails too
         raise InvalidInputError("output times must lie in [0, t_final]")
 
     grid = rho0.grid

@@ -31,7 +31,7 @@ from .control import (
     simulate_controlled_ensemble,
     simulate_controlled_particle,
 )
-from .errors import ConfigurationError, InvalidInputError, NumericalOverflowError, SpinmechError
+from .errors import ConfigurationError, InvalidInputError, SpinmechError, check_overflow
 from .fokker_planck import (
     DensityField,
     Grid1D,
@@ -284,13 +284,6 @@ def _steps_for(t_final: float, dt: float) -> int:
     return n
 
 
-def _closed_form(name: str, value):
-    """``value``, an analytic prediction; one that overflows fails the run."""
-    if not np.all(np.isfinite(value)):
-        raise NumericalOverflowError(f"closed-form {name} does not fit a float")
-    return value
-
-
 #: Candidates ``_auto_record`` tries from each end before it refuses.
 _STRIDE_SEARCH = 10**6
 
@@ -343,9 +336,7 @@ def _run_ou_relax(cfg: ScenarioConfig, out: Path, n_workers: int):
     means = rb.means()
     variances = rb.variances() if rb.n_particles > 1 else np.zeros_like(means)
     n = rb.n_particles
-    with np.errstate(over="ignore", invalid="ignore"):  # _closed_form checks them
-        moments = ou_analytic_moments(p["x0"], p["omega"], p["sigma"], rb.times)
-    mean_ref, var_ref = _closed_form("moments", moments)
+    mean_ref, var_ref = ou_analytic_moments(p["x0"], p["omega"], p["sigma"], rb.times)
     io.write_csv(out / "moments.csv", ["t", "mean", "var", "mean_analytic", "var_analytic"],
                  [rb.times, means, variances, mean_ref, var_ref])
 
@@ -565,8 +556,8 @@ def _tracking_metrics(cfg: ScenarioConfig, out: Path, report, eta_gap):
     t, e = table["t"], table["e_mean"]
     t_final = t[-1]
     tail = e[t >= 0.9 * t_final]
-    expected = _closed_form("terminal error", e0 * math.exp(-omega * t_final)
-                            + eta_gap / omega * (1.0 - math.exp(-omega * t_final)))
+    expected = check_overflow("closed-form terminal error", e0 * math.exp(-omega * t_final)
+                              + eta_gap / omega * (1.0 - math.exp(-omega * t_final)))
     return table, {
         "terminal_error": float(e[-1]),
         "expected_terminal_error": float(expected),
@@ -601,8 +592,8 @@ def _run_track_ensemble(cfg: ScenarioConfig, out: Path, n_workers: int):
         "terminal_error_variance": (
             float(table["e_std"][-1] ** 2) if p["n_particles"] > 1 else None
         ),
-        "stationary_error_variance": _closed_form(
-            "stationary error variance", p["sigma"] * p["sigma"] / (2.0 * p["omega"])
+        "stationary_error_variance": check_overflow(
+            "closed-form stationary error variance", p["sigma"] * p["sigma"] / (2.0 * p["omega"])
         ),
         "fitted_decay_rate": base["fitted_decay_rate"],
     }

@@ -28,7 +28,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalOverflowError
+from .errors import InvalidInputError, NumericalOverflowError, check_number, check_overflow
 from .rng import particle_stream
 
 #: Paths whose |x| crosses this bound abort with an overflow error.
@@ -57,13 +57,13 @@ class DriftSpec:
     @staticmethod
     def linear(omega: float) -> "DriftSpec":
         """Restoring drift ``b(x, t) = -omega * x``."""
+        check_number("omega", omega)
         return DriftSpec(lambda x, t: -omega * x, autonomous=True)
 
     @staticmethod
     def time_scaled(t_floor: float = 1e-3) -> "DriftSpec":
         """Drift ``b(x, t) = x / max(t, t_floor)``, finite for all t >= 0."""
-        if t_floor <= 0:
-            raise InvalidInputError(f"t_floor must be positive, got {t_floor}")
+        check_number("t_floor", t_floor, positive=True)
         return DriftSpec(lambda x, t: x / max(t, t_floor))
 
     @staticmethod
@@ -73,8 +73,8 @@ class DriftSpec:
         bs = np.asarray(bs, dtype=float)
         if xs.ndim != 1 or xs.shape != bs.shape or xs.size < 2:
             raise InvalidInputError("tabulated drift needs matching 1-d samples")
-        if np.any(np.diff(xs) <= 0):
-            raise InvalidInputError("tabulated drift grid must be increasing")
+        if not (np.all(np.isfinite([xs, bs])) and np.all(xs[1:] > xs[:-1])):
+            raise InvalidInputError("tabulated drift needs finite samples on an increasing grid")
         return DriftSpec(lambda x, t: np.interp(x, xs, bs), autonomous=True)
 
 
@@ -87,9 +87,8 @@ def drift_from_density(
     raise at evaluation time.  The log-derivative is taken by central
     differences with a step scaled to x.
     """
-    if sigma <= 0:
-        raise InvalidInputError(f"sigma must be positive, got {sigma}")
-    half_s2 = 0.5 * sigma * sigma
+    check_number("sigma", sigma, positive=True)
+    half_s2 = check_overflow("sigma**2 / 2", 0.5 * sigma * sigma)
 
     def u(x, t):
         x = np.asarray(x, dtype=float)
@@ -128,24 +127,18 @@ class SdeConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        problems = []
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            problems.append(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            problems.append(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.sigma < 0:
-            problems.append(f"sigma must be >= 0, got {self.sigma}")
-        if self.n_particles < 1:
-            problems.append(f"n_particles must be >= 1, got {self.n_particles}")
+        check_number("dt", self.dt, positive=True)
+        check_number("n_steps", self.n_steps, 1)
+        check_number("sigma", self.sigma, 0.0)
+        check_number("n_particles", self.n_particles, 1)
+        check_number("t_final = t0 + n_steps * dt", self.t_final)  # t0 finite too
+        if not callable(self.x0):
+            check_number("x0", self.x0)
         if self.record_every < 1 or self.n_steps % self.record_every != 0:
-            problems.append(
+            raise InvalidInputError(
                 f"record_every must be >= 1 and divide n_steps, got "
                 f"{self.record_every} for {self.n_steps} steps"
             )
-        if not np.isfinite(self.t0):
-            problems.append(f"t0 must be finite, got {self.t0}")
-        if problems:
-            raise InvalidInputError("; ".join(problems))
 
     @property
     def t_final(self) -> float:
@@ -169,7 +162,7 @@ class TrajectoryBatch:
                 f"paths shape {self.paths.shape} inconsistent with "
                 f"{self.times.size} recorded times"
             )
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):
             raise InvalidInputError("recorded times must be strictly increasing")
 
     @property
@@ -191,13 +184,11 @@ def _em_update(x, drift, t, dt, dw):
 
 def euler_maruyama_step(x, drift: DriftSpec, t: float, dt: float, dw):
     """One explicit step ``x + b(x, t) dt + dw``; deterministic in its inputs."""
-    if dt <= 0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
+    check_number("dt", dt, positive=True)
     x = np.asarray(x, dtype=float)
     dw = np.asarray(dw, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(dw))):
-        raise NumericalOverflowError("non-finite position or noise increment")
-    out = _em_update(x, drift, t, dt, dw)
+    with np.errstate(over="ignore", invalid="ignore"):  # check_overflow raises instead
+        out = check_overflow("Euler-Maruyama step", _em_update(x, drift, t, dt, dw))
     return float(out) if out.ndim == 0 else out
 
 
@@ -315,11 +306,14 @@ def ou_analytic_moments(x0: float, omega: float, sigma: float, t):
     ``mean = x0 * exp(-omega t)``,
     ``variance = sigma^2 (1 - exp(-2 omega t)) / (2 omega)``.
     """
-    if omega <= 0:
-        raise InvalidInputError(f"omega must be positive, got {omega}")
+    check_number("x0", x0)
+    check_number("omega", omega, positive=True)
+    check_number("sigma", sigma, 0.0)
     t = np.asarray(t, dtype=float)
-    mean = x0 * np.exp(-omega * t)
-    var = sigma * sigma * (1.0 - np.exp(-2.0 * omega * t)) / (2.0 * omega)
+    with np.errstate(over="ignore", invalid="ignore"):  # check_overflow raises instead
+        mean = x0 * np.exp(-omega * t)
+        var = sigma * sigma * (1.0 - np.exp(-2.0 * omega * t)) / (2.0 * omega)
+    check_overflow("closed-form moments", (mean, var))
     if t.ndim == 0:
         return float(mean), float(var)
     return mean, var

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_number, check_overflow
 
 #: Inputs farther than this from unit norm are rejected.
 NORM_VALIDATION_TOL = 1e-9
@@ -111,10 +111,11 @@ class SpinOperator:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise InvalidInputError(f"operator entries must be 2x2, got {m.shape}")
-        if not np.isfinite(self.hbar) or self.hbar <= 0:
-            raise InvalidInputError(f"hbar must be positive, got {self.hbar}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise InvalidInputError("operator entries are not Hermitian")
+        check_number("hbar", self.hbar, positive=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries fail below
+            asymmetry = np.max(np.abs(m - m.conj().T))
+        if not (np.all(np.isfinite(m)) and asymmetry <= HERMITIAN_TOL):
+            raise InvalidInputError("operator entries must be Hermitian with finite values")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "hbar", float(self.hbar))
@@ -136,9 +137,8 @@ def pauli(axis: str, hbar: float = 1.0) -> SpinOperator:
     """Measurement operator ``(hbar/2) * sigma_axis`` for axis x, y or z."""
     if axis not in _PAULI:
         raise InvalidInputError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    with np.errstate(invalid="ignore"):  # SpinOperator rejects a non-finite hbar
-        entries = 0.5 * hbar * _PAULI[axis]
-    return SpinOperator(entries, hbar=hbar)
+    check_number("hbar", hbar, positive=True)
+    return SpinOperator(0.5 * hbar * _PAULI[axis], hbar=hbar)
 
 
 def spin_hamiltonian(omega0: float, hbar: float = 1.0) -> SpinOperator:
@@ -147,15 +147,14 @@ def spin_hamiltonian(omega0: float, hbar: float = 1.0) -> SpinOperator:
     ``omega0 = -gamma * B_z`` for gyromagnetic ratio ``gamma`` and field
     intensity ``B_z``.  Eigenvalues are ``+-hbar*omega0/2``.
     """
-    sz = pauli("z", hbar=hbar)
-    return SpinOperator(omega0 * sz.entries, hbar=hbar)
+    levels = energy_levels(omega0, hbar)
+    return SpinOperator(np.diag([levels.e_plus, levels.e_minus]), hbar=hbar)
 
 
 def energy_levels(omega0: float, hbar: float = 1.0) -> EnergyPair:
     """The two levels ``(+hbar*omega0/2, -hbar*omega0/2)``."""
-    if not np.isfinite(hbar) or hbar <= 0:
-        raise InvalidInputError(f"hbar must be positive, got {hbar}")
-    e_plus = 0.5 * hbar * omega0
+    hbar = float(check_number("hbar", hbar, positive=True))
+    e_plus = check_overflow("energy level", 0.5 * hbar * float(check_number("omega0", omega0)))
     return EnergyPair(e_plus=e_plus, e_minus=-e_plus)
 
 
@@ -172,10 +171,10 @@ def propagator(hamiltonian: SpinOperator, duration: float) -> np.ndarray:
 
     A SpinOperator's entries are checked Hermitian when it is built.
     """
-    if not np.isfinite(duration):
-        raise InvalidInputError(f"duration must be finite, got {duration}")
+    check_number("duration", duration)
     evals, evecs = np.linalg.eigh(hamiltonian.entries)
-    phases = np.exp(-1.0j * evals * duration / hamiltonian.hbar)
+    with np.errstate(over="ignore", invalid="ignore"):  # check_overflow raises instead
+        phases = check_overflow("phase", np.exp(-1.0j * evals * duration / hamiltonian.hbar))
     return (evecs * phases) @ evecs.conj().T
 
 

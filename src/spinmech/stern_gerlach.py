@@ -22,7 +22,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalOverflowError
+from .errors import InvalidInputError, NumericalOverflowError, check_number, check_overflow
 from .rng import particle_stream
 from .sde import OVERFLOW_LIMIT
 from .spin import Spinor, measurement_probabilities
@@ -50,14 +50,10 @@ class BeamConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        problems = []
         for name in ("mass", "magnet_length", "drift_length", "v_beam", "hbar", "b_z"):
-            if getattr(self, name) <= 0:
-                problems.append(f"{name} must be positive, got {getattr(self, name)}")
-        if self.sigma_z < 0:
-            problems.append(f"sigma_z must be >= 0, got {self.sigma_z}")
-        if problems:
-            raise InvalidInputError("; ".join(problems))
+            check_number(name, getattr(self, name), positive=True)
+        for name, low in (("sigma_z", 0.0), ("gamma", -math.inf), ("grad_bz", -math.inf)):
+            check_number(name, getattr(self, name), low)
         if self.grad_bz >= 0:
             warnings.warn(
                 f"grad_bz = {self.grad_bz} is not negative; proceeding with the "
@@ -129,8 +125,7 @@ def simulate_beam(state: Spinor, cfg: BeamConfig, n: int, seed: int) -> PlateRec
     draws at a fraction of the cost.  The loop runs on the calling thread.
     A plate position or momentum beyond ``OVERFLOW_LIMIT`` is an overflow.
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    check_number("n", n, 1)
     p_up, _ = measurement_probabilities(state)
     z_up, p_mom_up = deflection(UP, cfg)
     z_dn, p_mom_dn = deflection(DOWN, cfg)
@@ -160,15 +155,13 @@ def energy_transition(
     two differ only by the constant ``2 mass^2`` factor and either sign
     convention answers "which level did the particle end in".
     """
-    if mass <= 0:
-        raise InvalidInputError(f"mass must be positive, got {mass}")
+    mass = float(check_number("mass", mass, positive=True))
     if mode not in ("literal", "kinetic"):
         raise InvalidInputError(f"mode must be 'literal' or 'kinetic', got {mode!r}")
+    p_plus, p_minus = float(p_plus), float(p_minus)  # numpy scalars would warn on overflow
     diff = p_plus * p_plus - p_minus * p_minus  # products overflow to inf; ** raises
     energy = mass * diff if mode == "literal" else diff / (2.0 * mass)
-    if not math.isfinite(energy):
-        raise NumericalOverflowError(f"{mode} energy change overflowed")
-    return energy
+    return check_overflow(f"{mode} energy change", energy)
 
 
 def precess_moment(gamma_vec, field, gamma: float, dt: float) -> np.ndarray:
@@ -180,15 +173,18 @@ def precess_moment(gamma_vec, field, gamma: float, dt: float) -> np.ndarray:
     """
     g = np.asarray(gamma_vec, dtype=float)
     b = np.asarray(field, dtype=float)
-    if g.shape != (3,) or b.shape != (3,):
-        raise InvalidInputError("moment and field must be 3-vectors")
-    b_norm = float(np.linalg.norm(b))
+    if g.shape != (3,) or b.shape != (3,) or not np.all(np.isfinite([g, b])):
+        raise InvalidInputError("moment and field must be 3-vectors of finite values")
+    gamma, dt = float(check_number("gamma", gamma)), float(check_number("dt", dt))
+    b_norm = math.hypot(*b)  # scaled: a huge field does not overflow its square
     if b_norm == 0.0:
         return g.copy()
+    angle = check_overflow("precession angle", -gamma * b_norm * dt)
     axis = b / b_norm
-    angle = -gamma * b_norm * dt
     c, s = math.cos(angle), math.sin(angle)
-    return g * c + np.cross(axis, g) * s + axis * np.dot(axis, g) * (1.0 - c)
+    with np.errstate(over="ignore", invalid="ignore"):  # check_overflow raises instead
+        out = g * c + np.cross(axis, g) * s + axis * np.dot(axis, g) * (1.0 - c)
+    return check_overflow("precessed moment", out)
 
 
 #: Bins of the plate histogram that :func:`count_plate_modes` reads.

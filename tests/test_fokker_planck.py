@@ -58,6 +58,10 @@ class TestDensityField:
         with pytest.raises(InvalidInputError, match="mass"):
             DensityField(g, np.full(16, 2.0))
 
+    def test_rejects_nan_values(self):
+        with pytest.raises(InvalidInputError, match="non-negative"):
+            DensityField(Grid1D(-1.0, 1.0, 16), np.full(16, math.nan))
+
     def test_from_function_normalizes(self):
         g = Grid1D(-5.0, 5.0, 128)
         f = gaussian_field(g)
@@ -136,6 +140,13 @@ class TestFpStep:
         dt = stable_dt(drift, 0.8, g)
         _, snaps = fp_solve(f, drift, 0.8, 0.5, dt)
         assert np.min(snaps[-1].values) >= 0.0
+
+    def test_nan_density_raised_by_step(self):
+        # a NaN drift passes both step bounds; the negative-density guard must catch it
+        g = Grid1D(-8.0, 8.0, 32)
+        nan_drift = DriftSpec(lambda x, t: np.full_like(x, math.nan), autonomous=True)
+        with pytest.raises(NumericalOverflowError, match="density went negative or NaN"):
+            fp_step(gaussian_field(g, std=1.0), nan_drift, 1.0, 0.0, 1e-3)
 
 
 class TestFpSolve:

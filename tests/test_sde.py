@@ -10,6 +10,7 @@ from spinmech.errors import InvalidInputError, NumericalOverflowError
 from spinmech.sde import (
     DriftSpec,
     SdeConfig,
+    TrajectoryBatch,
     drift_from_density,
     euler_maruyama_step,
     momentum_estimate,
@@ -165,6 +166,17 @@ class TestSdeConfig:
     def test_recorded_times(self):
         cfg = ou_cfg(n_steps=10, record_every=5, t0=1.0, dt=0.1)
         assert np.allclose(cfg.recorded_times(), [1.0, 1.5, 2.0])
+
+    @pytest.mark.parametrize("field", ["dt", "sigma", "t0", "x0"])
+    def test_nan_is_rejected(self, field):
+        with pytest.raises(InvalidInputError, match=field):
+            ou_cfg(**{field: math.nan})
+
+
+class TestTrajectoryBatch:
+    def test_nan_time_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            TrajectoryBatch(np.array([0.0, math.nan, 2.0]), np.zeros((1, 3)))
 
 
 class TestSimulateEnsemble:

@@ -216,6 +216,11 @@ class TestEnergyTransition:
         with pytest.raises(NumericalOverflowError, match=f"{mode} energy change overflowed"):
             energy_transition(1e200, 0.0, 1.0, mode)
 
+    def test_numpy_scalar_overflow_raises_without_a_numpy_warning(self):
+        # numpy's overflow warning is an error in this suite, so it must not come first
+        with pytest.raises(NumericalOverflowError, match="literal energy change overflowed"):
+            energy_transition(np.float64(1e200), 0.0, 1.0)
+
     # magnitudes stay clear of the subnormal range so |p|^2 cannot
     # underflow to zero and fake a vanishing transition
     momenta = st.one_of(

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all spinmech modules.
 
 :func:`check_number` is the one place each numeric precondition is written,
-and :func:`check_overflow` the one place a computed value must be finite.
+:func:`check_int` the one place each count or seed must be an integer, and
+:func:`check_overflow` the one place a computed value must be finite.
 """
 
 import math
@@ -45,6 +46,14 @@ def check_number(name: str, value, low: float = -math.inf, positive: bool = Fals
     if not (isinstance(value, numbers.Real) and -math.inf < value < math.inf
             and low <= value and (value > 0 or not positive)):
         rule = "positive" if positive else "finite" if low == -math.inf else f">= {low:g}"
+        raise InvalidInputError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def check_int(name: str, value, low: float = -math.inf):
+    """``value`` if it is an integer ``>= low``; a bool or an integral float fails."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value:
+        rule = "an integer" if low == -math.inf else f"an integer >= {low:g}"
         raise InvalidInputError(f"{name} must be {rule}, got {value}")
     return value
 

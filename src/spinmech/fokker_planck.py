@@ -31,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, NumericalOverflowError, check_number
+from .errors import (
+    ConfigurationError,
+    InvalidInputError,
+    NumericalOverflowError,
+    check_int,
+    check_number,
+)
 from .sde import DriftSpec, TrajectoryBatch
 
 #: Mass in the two edge cells above this fraction triggers a runtime warning.
@@ -55,7 +61,7 @@ class Grid1D:
     def __post_init__(self):
         check_number("x_min", self.x_min)
         check_number("x_max - x_min", self.x_max - self.x_min, positive=True)
-        check_number("n_cells", self.n_cells, 16)
+        check_int("n_cells", self.n_cells, 16)
 
     @property
     def dx(self) -> float:
@@ -241,6 +247,7 @@ def _check_step(u_face, sigma: float, dx: float, dt: float):
 
 def stable_dt(drift: DriftSpec, sigma: float, grid: Grid1D) -> float:
     """A step within both stated bounds and the positivity bound for the drift at t=0."""
+    check_number("sigma", sigma, 0.0)
     diffusive, advective, umax = _step_bounds(drift(grid.faces[1:-1], 0.0), sigma, grid.dx)
     dx2 = grid.dx * grid.dx
     denom = (sigma * sigma / dx2 if dx2 > 0.0 else math.inf) + 2.0 * umax / grid.dx

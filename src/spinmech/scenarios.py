@@ -3,7 +3,13 @@
 Every scenario declares its parameter schema (names, types, defaults,
 invariant checks) in ``REGISTRY``; the same table drives config validation,
 the ``list-scenarios`` catalogue, and the defaults applied at run time, so
-the documentation cannot drift from the behavior.
+the documentation cannot drift from the behavior.  Each scenario's setup
+(its ``runner``) builds what the run fixes before its first step, sizes no
+array by the config, and returns the run; ``parse_config`` calls it, so
+``validate`` refuses what ``run`` would before any work, and ``run_scenario``
+calls it again before making the output directory.  Left to the run: checks
+on config-sized arrays (initial density, solver ``dt``), the stability bound
+of a configured density ``dt`` and the momentum tail window.
 
 ``run_scenario`` writes the scenario's CSV artifacts first and then
 computes every reported metric by re-reading those files, so the numbers in
@@ -31,7 +37,7 @@ from .control import (
     simulate_controlled_ensemble,
     simulate_controlled_particle,
 )
-from .errors import ConfigurationError, InvalidInputError, SpinmechError, check_overflow
+from .errors import ConfigurationError, SpinmechError, check_overflow
 from .fokker_planck import (
     DensityField,
     Grid1D,
@@ -83,8 +89,7 @@ class ScenarioSpec:
     params: tuple
     artifacts: str  # human description; actual names come from the run
     metrics: tuple
-    runner: Callable
-    validator: Optional[Callable] = None  # extra cross-parameter checks
+    runner: Callable  # the setup: runner(cfg) -> run(out, n_workers) -> (metrics, artifacts)
     undefined: str = ""  # which metrics can be undefined (None), and when
 
 
@@ -133,8 +138,9 @@ def _read_section(section: str, items: dict, params: tuple, errors: list) -> dic
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a config document.
 
-    All problems are collected into one ConfigurationError (line-numbered
-    where applicable) rather than failing on the first.
+    All schema problems are collected into one ConfigurationError (line-numbered
+    where applicable) rather than failing on the first.  A config that passes
+    the schema then runs its scenario's setup, which refuses it as its run would.
     """
     raw = parse_sections(text)
     errors = list(raw.errors)
@@ -144,12 +150,16 @@ def parse_config(text: str) -> ScenarioConfig:
     params = {}
     if spec is not None:
         params = _read_section("parameters", raw.sections["parameters"], spec.params, errors)
-        if spec.validator is not None and not errors:
-            errors.extend(spec.validator(params))
     if errors:
         raise ConfigurationError(errors)
-    return ScenarioConfig(scenario=head["name"], parameters=params, seed=head["seed"],
-                          output_dir=output["dir"])
+    cfg = ScenarioConfig(scenario=head["name"], parameters=params, seed=head["seed"],
+                         output_dir=output["dir"])
+    try:
+        spec.runner(cfg)
+    except SpinmechError as e:
+        problems = e.errors if isinstance(e, ConfigurationError) else [str(e)]
+        raise ConfigurationError([f"scenario '{cfg.scenario}': {m}" for m in problems]) from None
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -208,10 +218,11 @@ def run_scenario(cfg: ScenarioConfig, n_workers: int = 1) -> RunSummary:
     """
     spec = REGISTRY[cfg.scenario]
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
-        metrics, artifacts = spec.runner(cfg, out, n_workers)
+        run = spec.runner(cfg)  # set up again: apply_overrides may have changed the seed
+        out.mkdir(parents=True, exist_ok=True)
+        metrics, artifacts = run(out, n_workers)
     except SpinmechError as e:
         if isinstance(e, ConfigurationError):  # the CLI prints its errors one by one
             e.errors = [f"scenario '{cfg.scenario}': {msg}" for msg in e.errors]
@@ -316,7 +327,7 @@ def _auto_record(n_steps: int, requested: int, target: int = 10) -> int:
     )
 
 
-def _run_ou_relax(cfg: ScenarioConfig, out: Path, n_workers: int):
+def _run_ou_relax(cfg: ScenarioConfig):
     p = cfg.parameters
     n_steps = _steps_for(p["t_final"], p["dt"])
     rec = _auto_record(n_steps, p["record_every"])
@@ -329,37 +340,39 @@ def _run_ou_relax(cfg: ScenarioConfig, out: Path, n_workers: int):
         x0=p["x0"],
         record_every=rec,
     )
-    batch = simulate_ensemble(DriftSpec.linear(p["omega"]), sde_cfg, n_workers)
-    io.write_trajectories(out / "trajectories.csv", batch)
+    def run(out: Path, n_workers: int):
+        batch = simulate_ensemble(DriftSpec.linear(p["omega"]), sde_cfg, n_workers)
+        io.write_trajectories(out / "trajectories.csv", batch)
 
-    rb = io.read_trajectories(out / "trajectories.csv")
-    means = rb.means()
-    variances = rb.variances() if rb.n_particles > 1 else np.zeros_like(means)
-    n = rb.n_particles
-    mean_ref, var_ref = ou_analytic_moments(p["x0"], p["omega"], p["sigma"], rb.times)
-    io.write_csv(out / "moments.csv", ["t", "mean", "var", "mean_analytic", "var_analytic"],
-                 [rb.times, means, variances, mean_ref, var_ref])
+        rb = io.read_trajectories(out / "trajectories.csv")
+        means = rb.means()
+        variances = rb.variances() if rb.n_particles > 1 else np.zeros_like(means)
+        n = rb.n_particles
+        mean_ref, var_ref = ou_analytic_moments(p["x0"], p["omega"], p["sigma"], rb.times)
+        io.write_csv(out / "moments.csv", ["t", "mean", "var", "mean_analytic", "var_analytic"],
+                     [rb.times, means, variances, mean_ref, var_ref])
 
-    live = rb.times > 0
-    metrics = {
-        "n_checkpoints": int(live.sum()),
-        "terminal_mean": float(means[-1]),
-        "terminal_mean_analytic": float(mean_ref[-1]),
-        "terminal_var_analytic": float(var_ref[-1]),
-        # one particle has no sample variance to compare or to scale by
-        "max_abs_z_mean": None, "max_abs_z_var": None, "terminal_var": None,
-    }
-    if n > 1:
-        se_mean = np.sqrt(np.maximum(variances[live], 1e-300) / n)
-        z_mean = np.abs(means[live] - mean_ref[live]) / se_mean
-        se_var = variances[live] * math.sqrt(2.0 / (n - 1))
-        z_var = np.abs(variances[live] - var_ref[live]) / np.maximum(se_var, 1e-300)
-        metrics.update(max_abs_z_mean=float(z_mean.max()), max_abs_z_var=float(z_var.max()),
-                       terminal_var=float(variances[-1]))
-    return metrics, ["trajectories.csv", "moments.csv"]
+        live = rb.times > 0
+        metrics = {
+            "n_checkpoints": int(live.sum()),
+            "terminal_mean": float(means[-1]),
+            "terminal_mean_analytic": float(mean_ref[-1]),
+            "terminal_var_analytic": float(var_ref[-1]),
+            # one particle has no sample variance to compare or to scale by
+            "max_abs_z_mean": None, "max_abs_z_var": None, "terminal_var": None,
+        }
+        if n > 1:
+            se_mean = np.sqrt(np.maximum(variances[live], 1e-300) / n)
+            z_mean = np.abs(means[live] - mean_ref[live]) / se_mean
+            se_var = variances[live] * math.sqrt(2.0 / (n - 1))
+            z_var = np.abs(variances[live] - var_ref[live]) / np.maximum(se_var, 1e-300)
+            metrics.update(max_abs_z_mean=float(z_mean.max()),
+                           max_abs_z_var=float(z_var.max()), terminal_var=float(variances[-1]))
+        return metrics, ["trajectories.csv", "moments.csv"]
+    return run
 
 
-def _run_fp_stationary(cfg: ScenarioConfig, out: Path, n_workers: int):
+def _run_fp_stationary(cfg: ScenarioConfig):
     p = cfg.parameters
     omega, sigma = p["omega"], p["sigma"]
     spread = sigma / math.sqrt(2.0 * omega)
@@ -369,26 +382,30 @@ def _run_fp_stationary(cfg: ScenarioConfig, out: Path, n_workers: int):
     def rho_fn(x):
         return np.exp(-omega * np.asarray(x) ** 2 / (sigma * sigma))
 
-    rho0 = DensityField.from_function(grid, rho_fn)
     drift = drift_from_density(rho_fn, sigma)
-    dt = p["dt"] or stable_dt(drift, sigma, grid)
-    output_times = np.linspace(0.0, p["t_final"], p["n_snapshots"])
-    times, snaps = fp_solve(rho0, drift, sigma, p["t_final"], dt, output_times)
-    names = io.write_density_sequence(out, times, snaps)
+    def run(out: Path, n_workers: int):
+        rho0 = DensityField.from_function(grid, rho_fn)
+        dt = p["dt"] or stable_dt(drift, sigma, grid)
+        output_times = np.linspace(0.0, p["t_final"], p["n_snapshots"])
+        times, snaps = fp_solve(rho0, drift, sigma, p["t_final"], dt, output_times)
+        names = io.write_density_sequence(out, times, snaps)
 
-    first = io.read_density(out / names[0])
-    last = io.read_density(out / names[-2])  # last snapshot; manifest is names[-1]
-    metrics = {
-        "l1_change": l1_distance(first, last),
-        "mass_error": abs(last.mass() - 1.0),
-        "boundary_mass": float((last.values[0] + last.values[-1]) * last.grid.dx),
-        "dt_used": float(dt),
-    }
-    return metrics, names
+        first = io.read_density(out / names[0])
+        last = io.read_density(out / names[-2])  # last snapshot; manifest is names[-1]
+        metrics = {
+            "l1_change": l1_distance(first, last),
+            "mass_error": abs(last.mass() - 1.0),
+            "boundary_mass": float((last.values[0] + last.values[-1]) * last.grid.dx),
+            "dt_used": float(dt),
+        }
+        return metrics, names
+    return run
 
 
-def _run_mc_fp_xval(cfg: ScenarioConfig, out: Path, n_workers: int):
+def _run_mc_fp_xval(cfg: ScenarioConfig):
     p = cfg.parameters
+    if p["x_min"] >= p["x_max"]:
+        raise ConfigurationError("x_min must be < x_max")
     grid = Grid1D(p["x_min"], p["x_max"], p["n_cells"])
     s0 = p["init_width_cells"] * grid.dx
     n_steps = _steps_for(p["t_final"], p["dt_mc"])
@@ -406,31 +423,33 @@ def _run_mc_fp_xval(cfg: ScenarioConfig, out: Path, n_workers: int):
         x0=sampler,
         record_every=n_steps,
     )
-    batch = simulate_ensemble(DriftSpec.linear(p["omega"]), sde_cfg, n_workers)
-    hist, out_frac = histogram_density(batch, -1, grid)
-    io.write_density(out / "mc_histogram.csv", hist)
+    def run(out: Path, n_workers: int):
+        batch = simulate_ensemble(DriftSpec.linear(p["omega"]), sde_cfg, n_workers)
+        hist, out_frac = histogram_density(batch, -1, grid)
+        io.write_density(out / "mc_histogram.csv", hist)
 
-    def rho_init(x):
-        return np.exp(-((np.asarray(x) - x0) ** 2) / (2.0 * s0 * s0))
+        def rho_init(x):
+            return np.exp(-((np.asarray(x) - x0) ** 2) / (2.0 * s0 * s0))
 
-    rho0 = DensityField.from_function(grid, rho_init)
-    drift = DriftSpec.linear(p["omega"])
-    dt_fp = stable_dt(drift, p["sigma"], grid)
-    _, snaps = fp_solve(rho0, drift, p["sigma"], p["t_final"], dt_fp)
-    io.write_density(out / "fp_density.csv", snaps[-1])
+        rho0 = DensityField.from_function(grid, rho_init)
+        drift = DriftSpec.linear(p["omega"])
+        dt_fp = stable_dt(drift, p["sigma"], grid)
+        _, snaps = fp_solve(rho0, drift, p["sigma"], p["t_final"], dt_fp)
+        io.write_density(out / "fp_density.csv", snaps[-1])
 
-    a = io.read_density(out / "mc_histogram.csv")
-    b = io.read_density(out / "fp_density.csv")
-    metrics = {
-        "l1_distance": l1_distance(a, b),
-        "out_of_range_fraction": float(out_frac),
-    }
-    return metrics, ["mc_histogram.csv", "fp_density.csv"]
+        a = io.read_density(out / "mc_histogram.csv")
+        b = io.read_density(out / "fp_density.csv")
+        metrics = {
+            "l1_distance": l1_distance(a, b),
+            "out_of_range_fraction": float(out_frac),
+        }
+        return metrics, ["mc_histogram.csv", "fp_density.csv"]
+    return run
 
 
-def _run_stern_gerlach(cfg: ScenarioConfig, out: Path, n_workers: int):
+def _run_stern_gerlach(cfg: ScenarioConfig):
     p = cfg.parameters
-    state = _spinor(p)
+    state = Spinor(p["alpha_re"] + 1j * p["alpha_im"], p["beta_re"] + 1j * p["beta_im"])
     beam = BeamConfig(
         mass=p["mass"],
         gamma=p["gyromagnetic"],
@@ -442,78 +461,85 @@ def _run_stern_gerlach(cfg: ScenarioConfig, out: Path, n_workers: int):
         sigma_z=p["sigma_z"],
         hbar=p["hbar"],
     )
-    records = simulate_beam(state, beam, p["n"], cfg.seed)
-    io.write_plate_records(out / "plate.csv", records)
-    io.write_branch_summary(out / "branch_summary.csv", records)
+    def run(out: Path, n_workers: int):
+        records = simulate_beam(state, beam, p["n"], cfg.seed)
+        io.write_plate_records(out / "plate.csv", records)
+        io.write_branch_summary(out / "branch_summary.csv", records)
 
-    rr = io.read_plate_records(out / "plate.csv")
-    z_up, p_up = rr.branch_arrays(UP)
-    z_dn, p_dn = rr.branch_arrays(DOWN)
-    oracle_up = deflection(UP, beam)
-    oracle_dn = deflection(DOWN, beam)
-    both = bool(p_up.size and p_dn.size)
-    metrics = {
-        "up_fraction": rr.up_fraction(),
-        "expected_up_fraction": measurement_probabilities(state)[0],
-        "mean_z_up": float(z_up.mean()) if z_up.size else None,
-        "mean_z_down": float(z_dn.mean()) if z_dn.size else None,
-        "oracle_z_up": oracle_up[0],
-        "oracle_z_down": oracle_dn[0],
-        "n_modes": count_plate_modes(rr.z_final),
-    }
-    for mode in ("literal", "kinetic"):
-        metrics[f"delta_e_{mode}"] = energy_transition(
-            float(p_dn.mean()), float(p_up.mean()), beam.mass, mode
-        ) if both else None
-    return metrics, ["plate.csv", "branch_summary.csv"]
+        rr = io.read_plate_records(out / "plate.csv")
+        z_up, p_up = rr.branch_arrays(UP)
+        z_dn, p_dn = rr.branch_arrays(DOWN)
+        oracle_up = deflection(UP, beam)
+        oracle_dn = deflection(DOWN, beam)
+        both = bool(p_up.size and p_dn.size)
+        metrics = {
+            "up_fraction": rr.up_fraction(),
+            "expected_up_fraction": measurement_probabilities(state)[0],
+            "mean_z_up": float(z_up.mean()) if z_up.size else None,
+            "mean_z_down": float(z_dn.mean()) if z_dn.size else None,
+            "oracle_z_up": oracle_up[0],
+            "oracle_z_down": oracle_dn[0],
+            "n_modes": count_plate_modes(rr.z_final),
+        }
+        for mode in ("literal", "kinetic"):
+            metrics[f"delta_e_{mode}"] = energy_transition(
+                float(p_dn.mean()), float(p_up.mean()), beam.mass, mode
+            ) if both else None
+        return metrics, ["plate.csv", "branch_summary.csv"]
+    return run
 
 
-def _run_momentum_limit(cfg: ScenarioConfig, out: Path, n_workers: int):
+def _run_momentum_limit(cfg: ScenarioConfig):
     p = cfg.parameters
+    if any(h <= p["t0"] for h in p["horizons"]):
+        raise ConfigurationError("every horizon must exceed t0")
     drift = DriftSpec.time_scaled(p["t_floor"])
-    n_paths, n_steps, estimates = p["n_paths"], p["steps_per_horizon"], []
+    n_paths, n_steps = p["n_paths"], p["steps_per_horizon"]
     record_every = _auto_record(n_steps, 0, target=4000)
-    for horizon in p["horizons"]:
-        sde_cfg = SdeConfig(
-            dt=(horizon - p["t0"]) / n_steps,
-            n_steps=n_steps,
-            sigma=p["sigma"],
-            n_particles=n_paths,
-            seed=cfg.seed,
-            x0=p["x0"],
-            t0=p["t0"],
-            record_every=record_every,
-        )
-        batch = simulate_ensemble(drift, sde_cfg, n_workers)
-        estimates.append(momentum_estimate(batch.times, batch.paths, p["tail_fraction"],
-                                           p["variance_threshold"]))
-    momentum_header = ["horizon", "path", "p_hat", "window_variance", "converged"]
-    io.write_csv(out / "momentum.csv", momentum_header, [
-        np.repeat(p["horizons"], n_paths),
-        np.tile(np.arange(n_paths), len(estimates)),
-        np.concatenate([e.p_hat for e in estimates]),
-        np.concatenate([e.window_variance for e in estimates]),
-        np.concatenate([e.converged for e in estimates]),
-    ])
+    sde_cfgs = [SdeConfig(
+        dt=(horizon - p["t0"]) / n_steps,
+        n_steps=n_steps,
+        sigma=p["sigma"],
+        n_particles=n_paths,
+        seed=cfg.seed,
+        x0=p["x0"],
+        t0=p["t0"],
+        record_every=record_every,
+    ) for horizon in p["horizons"]]
+    def run(out: Path, n_workers: int):
+        estimates = []
+        for sde_cfg in sde_cfgs:
+            batch = simulate_ensemble(drift, sde_cfg, n_workers)
+            estimates.append(momentum_estimate(batch.times, batch.paths, p["tail_fraction"],
+                                               p["variance_threshold"]))
+        momentum_header = ["horizon", "path", "p_hat", "window_variance", "converged"]
+        io.write_csv(out / "momentum.csv", momentum_header, [
+            np.repeat(p["horizons"], n_paths),
+            np.tile(np.arange(n_paths), len(estimates)),
+            np.concatenate([e.p_hat for e in estimates]),
+            np.concatenate([e.window_variance for e in estimates]),
+            np.concatenate([e.converged for e in estimates]),
+        ])
 
-    table = io.read_csv(out / "momentum.csv", converters={4: lambda s: s == "true"})
-    horizons = sorted(set(table[:, 0]))
-    sels = [table[table[:, 0] == h] for h in horizons]
-    mean_ph = [sel[:, 2].mean() for sel in sels]
-    mean_wv = [sel[:, 3].mean() for sel in sels]
-    summary_header = ["horizon", "mean_p_hat", "mean_window_variance", "converged_fraction"]
-    io.write_csv(out / "horizon_summary.csv", summary_header,
-                 [horizons, mean_ph, mean_wv, [sel[:, 4].mean() for sel in sels]])
-    metrics = {
-        "n_horizons": len(horizons),
-        "first_window_variance": float(mean_wv[0]),
-        "last_window_variance": float(mean_wv[-1]),
-        "variance_monotone_decreasing": bool(
-            all(a > b for a, b in zip(mean_wv, mean_wv[1:]))
-        ),
-        "mean_p_hat_last": float(mean_ph[-1]),
-    }
-    return metrics, ["momentum.csv", "horizon_summary.csv"]
+        table = io.read_csv(out / "momentum.csv", converters={4: lambda s: s == "true"})
+        horizons = sorted(set(table[:, 0]))
+        sels = [table[table[:, 0] == h] for h in horizons]
+        mean_ph = [sel[:, 2].mean() for sel in sels]
+        mean_wv = [sel[:, 3].mean() for sel in sels]
+        summary_header = ["horizon", "mean_p_hat", "mean_window_variance", "converged_fraction"]
+        io.write_csv(out / "horizon_summary.csv", summary_header,
+                     [horizons, mean_ph, mean_wv, [sel[:, 4].mean() for sel in sels]])
+        metrics = {
+            "n_horizons": len(horizons),
+            "first_window_variance": float(mean_wv[0]),
+            "last_window_variance": float(mean_wv[-1]),
+            "variance_monotone_decreasing": bool(
+                all(a > b for a, b in zip(mean_wv, mean_wv[1:]))
+            ),
+            "mean_p_hat_last": float(mean_ph[-1]),
+        }
+        return metrics, ["momentum.csv", "horizon_summary.csv"]
+    return run
 
 
 def _make_reference(p: dict) -> ReferenceTrajectory:
@@ -566,61 +592,48 @@ def _tracking_metrics(cfg: ScenarioConfig, out: Path, report, eta_gap):
     }
 
 
-def _run_track_particle(cfg: ScenarioConfig, out: Path, n_workers: int):
+def _run_track_particle(cfg: ScenarioConfig):
     p = cfg.parameters
     reference, sde_cfg = _tracking_setup(cfg, 1, target=1000)
     eta, eta_hat = p["eta"], p["eta_hat"]
     law = ControlLaw(
         omega=p["omega"], reference=reference, eta_hat=lambda t: eta_hat
     )
-    report = simulate_controlled_particle(law, sde_cfg.x0, sde_cfg, disturbance=lambda t: eta)
-    _, metrics = _tracking_metrics(cfg, out, report, eta - eta_hat)
-    return metrics, ["tracking.csv", "tracking_summary.json"]
+    def run(out: Path, n_workers: int):
+        report = simulate_controlled_particle(law, sde_cfg.x0, sde_cfg, disturbance=lambda t: eta)
+        _, metrics = _tracking_metrics(cfg, out, report, eta - eta_hat)
+        return metrics, ["tracking.csv", "tracking_summary.json"]
+    return run
 
 
-def _run_track_ensemble(cfg: ScenarioConfig, out: Path, n_workers: int):
+def _run_track_ensemble(cfg: ScenarioConfig):
     p = cfg.parameters
     reference, sde_cfg = _tracking_setup(cfg, p["n_particles"], target=100)
-    report = simulate_controlled_ensemble(
-        reference, p["omega"], sde_cfg, n_workers=n_workers
-    )
-    table, base = _tracking_metrics(cfg, out, report, 0.0)
-    metrics = {
-        "terminal_mean_error": base["terminal_error"],
-        "expected_terminal_error": base["expected_terminal_error"],
-        "clt_band": 3.0 * p["sigma"] / math.sqrt(p["n_particles"]),
-        "terminal_error_variance": (
-            float(table["e_std"][-1] ** 2) if p["n_particles"] > 1 else None
-        ),
-        "stationary_error_variance": check_overflow(
-            "closed-form stationary error variance", p["sigma"] * p["sigma"] / (2.0 * p["omega"])
-        ),
-        "fitted_decay_rate": base["fitted_decay_rate"],
-    }
-    return metrics, ["tracking.csv", "tracking_summary.json"]
+    def run(out: Path, n_workers: int):
+        report = simulate_controlled_ensemble(
+            reference, p["omega"], sde_cfg, n_workers=n_workers
+        )
+        table, base = _tracking_metrics(cfg, out, report, 0.0)
+        metrics = {
+            "terminal_mean_error": base["terminal_error"],
+            "expected_terminal_error": base["expected_terminal_error"],
+            "clt_band": 3.0 * p["sigma"] / math.sqrt(p["n_particles"]),
+            "terminal_error_variance": (
+                float(table["e_std"][-1] ** 2) if p["n_particles"] > 1 else None
+            ),
+            "stationary_error_variance": check_overflow(
+                "closed-form stationary error variance",
+                p["sigma"] * p["sigma"] / (2.0 * p["omega"]),
+            ),
+            "fitted_decay_rate": base["fitted_decay_rate"],
+        }
+        return metrics, ["tracking.csv", "tracking_summary.json"]
+    return run
 
 
 # --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
-
-
-def _spinor(p) -> Spinor:
-    return Spinor(p["alpha_re"] + 1j * p["alpha_im"], p["beta_re"] + 1j * p["beta_im"])
-
-
-def _validate_spinor(p):
-    try:
-        _spinor(p)
-    except InvalidInputError as e:
-        return [str(e)]
-    return []
-
-
-def _validate_momentum(p):
-    if any(h <= p["t0"] for h in p["horizons"]):
-        return ["every horizon must exceed t0"]
-    return []
 
 
 _TRACK_OMEGA = Param("omega", "float", check=(
@@ -709,9 +722,6 @@ REGISTRY: dict[str, ScenarioSpec] = {
         artifacts="mc_histogram.csv, fp_density.csv, summary.txt",
         metrics=("l1_distance", "out_of_range_fraction"),
         runner=_run_mc_fp_xval,
-        validator=lambda p: (
-            ["x_min must be < x_max"] if p["x_min"] >= p["x_max"] else []
-        ),
     ),
     "stern_gerlach": ScenarioSpec(
         description=(
@@ -747,7 +757,6 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "delta_e_kinetic",
         ),
         runner=_run_stern_gerlach,
-        validator=_validate_spinor,
         undefined=(
             "mean_z_up, mean_z_down when no particle takes that branch; "
             "delta_e_literal, delta_e_kinetic when either branch is empty"
@@ -782,7 +791,6 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "mean_p_hat_last",
         ),
         runner=_run_momentum_limit,
-        validator=_validate_momentum,
     ),
     "track_particle": ScenarioSpec(
         description=(

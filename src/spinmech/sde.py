@@ -28,7 +28,13 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalOverflowError, check_number, check_overflow
+from .errors import (
+    InvalidInputError,
+    NumericalOverflowError,
+    check_int,
+    check_number,
+    check_overflow,
+)
 from .rng import particle_stream
 
 #: Paths whose |x| crosses this bound abort with an overflow error.
@@ -75,6 +81,10 @@ class DriftSpec:
             raise InvalidInputError("tabulated drift needs matching 1-d samples")
         if not (np.all(np.isfinite([xs, bs])) and np.all(xs[1:] > xs[:-1])):
             raise InvalidInputError("tabulated drift needs finite samples on an increasing grid")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite slope fails below
+            slopes = np.diff(bs) / np.diff(xs)
+        if not np.all(np.isfinite(slopes)):  # np.interp would return inf without a warning
+            raise InvalidInputError("tabulated drift needs finite slopes between samples")
         return DriftSpec(lambda x, t: np.interp(x, xs, bs), autonomous=True)
 
 
@@ -128,15 +138,16 @@ class SdeConfig:
 
     def __post_init__(self):
         check_number("dt", self.dt, positive=True)
-        check_number("n_steps", self.n_steps, 1)
+        check_int("n_steps", self.n_steps, 1)
         check_number("sigma", self.sigma, 0.0)
-        check_number("n_particles", self.n_particles, 1)
+        check_int("n_particles", self.n_particles, 1)
+        check_int("seed", self.seed)
         check_number("t_final = t0 + n_steps * dt", self.t_final)  # t0 finite too
         if not callable(self.x0):
             check_number("x0", self.x0)
-        if self.record_every < 1 or self.n_steps % self.record_every != 0:
+        if self.n_steps % check_int("record_every", self.record_every, 1) != 0:
             raise InvalidInputError(
-                f"record_every must be >= 1 and divide n_steps, got "
+                f"record_every must divide n_steps, got "
                 f"{self.record_every} for {self.n_steps} steps"
             )
 

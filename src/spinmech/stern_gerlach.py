@@ -22,7 +22,13 @@ from itertools import takewhile
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalOverflowError, check_number, check_overflow
+from .errors import (
+    InvalidInputError,
+    NumericalOverflowError,
+    check_int,
+    check_number,
+    check_overflow,
+)
 from .rng import particle_stream
 from .sde import OVERFLOW_LIMIT
 from .spin import Spinor, measurement_probabilities
@@ -125,7 +131,8 @@ def simulate_beam(state: Spinor, cfg: BeamConfig, n: int, seed: int) -> PlateRec
     draws at a fraction of the cost.  The loop runs on the calling thread.
     A plate position or momentum beyond ``OVERFLOW_LIMIT`` is an overflow.
     """
-    check_number("n", n, 1)
+    check_int("n", n, 1)
+    check_int("seed", seed)
     p_up, _ = measurement_probabilities(state)
     z_up, p_mom_up = deflection(UP, cfg)
     z_dn, p_mom_dn = deflection(DOWN, cfg)

@@ -44,6 +44,11 @@ class TestGrid1D:
         with pytest.raises(InvalidInputError):
             Grid1D(-1.0, 1.0, 8)
 
+    @pytest.mark.parametrize("n_cells", [16.5, 16.0, True])
+    def test_cell_count_must_be_an_integer(self, n_cells):
+        with pytest.raises(InvalidInputError, match="^n_cells must be an integer >= 16"):
+            Grid1D(0.0, 1.0, n_cells)
+
 
 class TestDensityField:
     def test_rejects_negative_values(self):
@@ -100,6 +105,11 @@ class TestFpStep:
         f = gaussian_field(g, std=0.5)
         with pytest.raises(ConfigurationError, match="advective CFL bound"):
             fp_step(f, DriftSpec.linear(5.0), 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_stable_dt_refuses_a_bad_sigma(self, sigma):
+        with pytest.raises(InvalidInputError, match="^sigma must be >= 0"):
+            stable_dt(DriftSpec.linear(1.0), sigma, Grid1D(-1.0, 1.0, 16))
 
     def test_boundary_mass_warning(self):
         g = Grid1D(-1.0, 1.0, 32)

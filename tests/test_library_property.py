@@ -170,6 +170,7 @@ FOUND = [
     ("precess_moment", {("gamma",): 1e308, ("dt",): 1e308}),
     ("precess_moment", {("gamma_vec", 0): 1e308, ("field", 0): 1e308}),
     ("ou_analytic_moments", {("sigma",): 1e308, ("t", 1): 1e308}),
+    ("DriftSpec.tabulated", {("bs", 0): 1e308, ("bs", 1): -1e308}),
 ]
 
 

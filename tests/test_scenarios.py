@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -314,18 +315,23 @@ dir = {tmp_path / "out"}
             ("ou_relax", "omega = 1.0\nsigma = 1.0\nn_particles = 10000000000000"),
             ("stern_gerlach", "alpha_re = 0.6\nbeta_re = 0.8\nn = 1000000000000000"),
             ("fp_stationary", "omega = 1.0\nsigma = 1.0\nn_cells = 1000000000000000"),
+            ("fp_stationary", "omega = 1.0\nsigma = 1.0\nn_snapshots = 1000000000000000"),
+            ("momentum_limit", "n_paths = 10000000000000"),
+            ("track_ensemble", "omega = 1.0\nsigma = 1.0\nn_particles = 10000000000000"),
         ],
     )
     def test_size_too_large_to_allocate_exits_2_without_traceback(
         self, tmp_path, capsys, scenario, params
     ):
         # each run's first array needs more than 128 TiB, so allocation fails
-        # at once whatever the overcommit policy
+        # at once whatever the overcommit policy; the setup that validate runs
+        # allocates nothing sized by the config, so it accepts the config
         text = (
             f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n{params}\n"
             f"[output]\ndir = {tmp_path / 'out'}\n"
         )
         cfg = self._write(tmp_path, text)
+        assert cli.main(["validate", cfg]) == cli.EXIT_OK
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "too large to allocate" in err
@@ -421,6 +427,36 @@ dir = {tmp_path / "out"}
             "configuration errors:",
             "  - scenario 'ou_relax': record_every=7 does not divide n_steps=500",
         ]
+
+    @pytest.mark.parametrize(
+        "scenario,params",
+        [
+            ("ou_relax", "omega = 1\nsigma = 1\nn_particles = 10\ndt = 0.3\nt_final = 1.0"),
+            ("ou_relax", "omega = 1\nsigma = 1\nn_particles = 10\nrecord_every = 7"),
+            ("track_particle", "omega = 1\nprofile = sine\nangular_freq = 1e300"),
+        ],
+    )
+    def test_validate_refuses_what_run_refuses_before_its_first_step(
+        self, tmp_path, capsys, scenario, params
+    ):
+        text = (
+            f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n{params}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["validate", cfg]) == cli.EXIT_CONFIG
+        validated = capsys.readouterr().err
+        assert validated.startswith(f"configuration errors:\n  - scenario '{scenario}': ")
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == validated
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_run_scenario_creates_no_output_dir(self, tmp_path):
+        cfg = parse_config(SMALL_OU.format(out=tmp_path / "out"))
+        cfg = replace(cfg, parameters={**cfg.parameters, "record_every": 7})
+        with pytest.raises(ConfigurationError, match="^scenario 'ou_relax': record_every=7"):
+            run_scenario(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_threads_flag_reproduces_bytes(self, tmp_path):
         cfg = self._write(tmp_path, SMALL_OU.format(out=tmp_path / "a"))

@@ -172,6 +172,14 @@ class TestSdeConfig:
         with pytest.raises(InvalidInputError, match=field):
             ou_cfg(**{field: math.nan})
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_steps", 1000.0), ("n_particles", 200.0), ("n_particles", True),
+        ("record_every", 2.0), ("seed", 1.5), ("seed", 123.0), ("seed", False),
+    ])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an integer"):
+            ou_cfg(**{field: value})
+
 
 class TestTrajectoryBatch:
     def test_nan_time_is_rejected(self):

@@ -176,6 +176,13 @@ class TestSimulateBeam:
         assert np.array_equal(records.is_up, is_up)
         assert np.array_equal(records.z_final, np.where(is_up, z_up, z_dn) + z0)
 
+    @pytest.mark.parametrize("n,seed,bad", [
+        (5.0, 1, "n"), (True, 1, "n"), (5, 1.5, "seed"), (5, 1.0, "seed"),
+    ])
+    def test_count_and_seed_must_be_integers(self, n, seed, bad):
+        with pytest.raises(InvalidInputError, match=f"^{bad} must be an integer"):
+            simulate_beam(Spinor(0.6, 0.8), beam_cfg(), n, seed)
+
     def test_momentum_limit_consistency(self):
         # Straightened post-magnet paths feed the tail-window velocity
         # estimator, which must recover p_final/mass.

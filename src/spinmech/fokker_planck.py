@@ -248,14 +248,14 @@ def _check_step(u_face, sigma: float, dx: float, dt: float):
 def stable_dt(drift: DriftSpec, sigma: float, grid: Grid1D) -> float:
     """A step within both stated bounds and the positivity bound for the drift at t=0."""
     check_number("sigma", sigma, 0.0)
-    diffusive, advective, umax = _step_bounds(drift(grid.faces[1:-1], 0.0), sigma, grid.dx)
+    diffusive, _, umax = _step_bounds(drift(grid.faces[1:-1], 0.0), sigma, grid.dx)
     dx2 = grid.dx * grid.dx
     denom = (sigma * sigma / dx2 if dx2 > 0.0 else math.inf) + 2.0 * umax / grid.dx
     if not (sigma > 0.0 or umax > 0.0 or denom > 0.0):
         raise InvalidInputError("no dynamics: sigma and drift are both zero")
     positivity = 1.0 / denom if denom > 0.0 else math.inf
-    dt = STABLE_DT_SAFETY * min(diffusive, advective, positivity)
-    if not dt > 0.0:
+    dt = STABLE_DT_SAFETY * min(diffusive, positivity)  # positivity <= advective / 2
+    if not 0.0 < dt < math.inf:  # inf where both bounds underflow
         raise InvalidInputError(f"no stable step is representable for dx={grid.dx:g}")
     return dt
 

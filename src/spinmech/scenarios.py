@@ -8,8 +8,8 @@ the documentation cannot drift from the behavior.  Each scenario's setup
 array by the config, and returns the run; ``parse_config`` calls it, so
 ``validate`` refuses what ``run`` would before any work, and ``run_scenario``
 calls it again before making the output directory.  Left to the run: checks
-on config-sized arrays (initial density, solver ``dt``), the stability bound
-of a configured density ``dt`` and the momentum tail window.
+on config-sized arrays (initial density, solver ``dt``) and the stability
+bound of a configured density ``dt``.
 
 ``run_scenario`` writes the scenario's CSV artifacts first and then
 computes every reported metric by re-reading those files, so the numbers in
@@ -53,6 +53,7 @@ from .sde import (
     momentum_estimate,
     ou_analytic_moments,
     simulate_ensemble,
+    tail_samples,
 )
 from .spin import Spinor, measurement_probabilities
 from .stern_gerlach import (
@@ -423,8 +424,9 @@ def _run_mc_fp_xval(cfg: ScenarioConfig):
         x0=sampler,
         record_every=n_steps,
     )
+    drift = DriftSpec.linear(p["omega"])
     def run(out: Path, n_workers: int):
-        batch = simulate_ensemble(DriftSpec.linear(p["omega"]), sde_cfg, n_workers)
+        batch = simulate_ensemble(drift, sde_cfg, n_workers)
         hist, out_frac = histogram_density(batch, -1, grid)
         io.write_density(out / "mc_histogram.csv", hist)
 
@@ -432,7 +434,6 @@ def _run_mc_fp_xval(cfg: ScenarioConfig):
             return np.exp(-((np.asarray(x) - x0) ** 2) / (2.0 * s0 * s0))
 
         rho0 = DensityField.from_function(grid, rho_init)
-        drift = DriftSpec.linear(p["omega"])
         dt_fp = stable_dt(drift, p["sigma"], grid)
         _, snaps = fp_solve(rho0, drift, p["sigma"], p["t_final"], dt_fp)
         io.write_density(out / "fp_density.csv", snaps[-1])
@@ -496,6 +497,7 @@ def _run_momentum_limit(cfg: ScenarioConfig):
     drift = DriftSpec.time_scaled(p["t_floor"])
     n_paths, n_steps = p["n_paths"], p["steps_per_horizon"]
     record_every = _auto_record(n_steps, 0, target=4000)
+    tail_samples(n_steps // record_every + 1, p["tail_fraction"])  # refuse a short window now
     sde_cfgs = [SdeConfig(
         dt=(horizon - p["t0"]) / n_steps,
         n_steps=n_steps,
@@ -542,24 +544,18 @@ def _run_momentum_limit(cfg: ScenarioConfig):
     return run
 
 
-def _make_reference(p: dict) -> ReferenceTrajectory:
-    profile = p["profile"]
-    duration = p["t_final"] * (1.0 + 1e-9)
-    if profile == "constant":
-        return ReferenceTrajectory.constant(p["level"], duration)
-    if profile == "ramp":
-        return ReferenceTrajectory.ramp(p["rate"], duration, start=p["level"])
-    # "sine": the profile's check rejects any other profile at parse time
-    return ReferenceTrajectory.sine(
-        p["amplitude"], p["angular_freq"], duration, offset=p["level"]
-    )
-
-
 def _tracking_setup(cfg: ScenarioConfig, n_particles: int, target: int):
     """The reference and the SdeConfig of a tracking run; v(0) = v_r(0) + e0."""
     p = cfg.parameters
-    reference = _make_reference(p)
     n_steps = _steps_for(p["t_final"], p["dt"])
+    duration = n_steps * p["dt"]  # the reference spans the run's own steps, from t0 = 0
+    if p["profile"] == "constant":
+        reference = ReferenceTrajectory.constant(p["level"], duration)
+    elif p["profile"] == "ramp":
+        reference = ReferenceTrajectory.ramp(p["rate"], duration, start=p["level"])
+    else:  # "sine": the profile's check rejects any other profile at parse time
+        reference = ReferenceTrajectory.sine(p["amplitude"], p["angular_freq"], duration,
+                                             offset=p["level"])
     sde_cfg = SdeConfig(
         dt=p["dt"],
         n_steps=n_steps,

@@ -272,6 +272,16 @@ class MomentumEstimate:
     window_variance: float | np.ndarray
 
 
+def tail_samples(n_times: int, tail_fraction: float) -> int:
+    """The samples in the trailing ``tail_fraction`` of ``n_times``; at least 10."""
+    if not 0.0 < tail_fraction <= 1.0:
+        raise InvalidInputError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    n_tail = int(math.ceil(n_times * tail_fraction))
+    if n_tail < 10:
+        raise InvalidInputError(f"tail window has {n_tail} samples; need at least 10")
+    return n_tail
+
+
 def momentum_estimate(
     times,
     positions,
@@ -290,13 +300,7 @@ def momentum_estimate(
     positions = np.asarray(positions, dtype=float, order="C")  # rows sum as 1-d paths do
     if times.ndim != 1 or positions.ndim not in (1, 2) or positions.shape[-1] != times.size:
         raise InvalidInputError("positions must be one path or rows of paths over 1-d times")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise InvalidInputError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    n_tail = int(math.ceil(times.size * tail_fraction))
-    if n_tail < 10:
-        raise InvalidInputError(
-            f"tail window has {n_tail} samples; need at least 10"
-        )
+    n_tail = tail_samples(times.size, tail_fraction)
     tw = times[-n_tail:]
     if tw[0] <= 0.0:
         raise InvalidInputError("tail window must contain strictly positive times")

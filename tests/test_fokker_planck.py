@@ -111,6 +111,12 @@ class TestFpStep:
         with pytest.raises(InvalidInputError, match="^sigma must be >= 0"):
             stable_dt(DriftSpec.linear(1.0), sigma, Grid1D(-1.0, 1.0, 16))
 
+    @pytest.mark.parametrize("omega,sigma", [(0.0, 1e-200), (1e-320, 0.0)])
+    def test_stable_dt_refuses_an_infinite_step(self, omega, sigma):
+        # every bound underflows to none, so no finite step is left to return
+        with pytest.raises(InvalidInputError, match="^no stable step is representable"):
+            stable_dt(DriftSpec.linear(omega), sigma, Grid1D(-1.0, 1.0, 16))
+
     def test_boundary_mass_warning(self):
         g = Grid1D(-1.0, 1.0, 32)
         f = gaussian_field(g, std=2.0)  # broad density pressed to the edges

@@ -434,6 +434,7 @@ dir = {tmp_path / "out"}
             ("ou_relax", "omega = 1\nsigma = 1\nn_particles = 10\ndt = 0.3\nt_final = 1.0"),
             ("ou_relax", "omega = 1\nsigma = 1\nn_particles = 10\nrecord_every = 7"),
             ("track_particle", "omega = 1\nprofile = sine\nangular_freq = 1e300"),
+            ("momentum_limit", "horizons = 2, 4\nn_paths = 4\nsteps_per_horizon = 20"),
         ],
     )
     def test_validate_refuses_what_run_refuses_before_its_first_step(
@@ -450,6 +451,28 @@ dir = {tmp_path / "out"}
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == validated
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "scenario,params",
+        [
+            ("track_particle", "omega = 1"),
+            ("track_ensemble", "omega = 1\nsigma = 0.1\nn_particles = 4"),
+        ],
+    )
+    def test_tracking_reference_spans_the_steps_the_run_takes(
+        self, tmp_path, scenario, params
+    ):
+        # ten steps of this dt end 5e-11 past t_final, within its whole-step tolerance
+        text = (
+            f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n{params}\n"
+            f"t_final = 0.001\ndt = 1.00000005e-4\n[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["validate", cfg]) == cli.EXIT_OK
+        assert cli.main(["run", cfg]) == cli.EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "summary.txt", "tracking.csv", "tracking_summary.json"
+        ]
 
     def test_refused_run_scenario_creates_no_output_dir(self, tmp_path):
         cfg = parse_config(SMALL_OU.format(out=tmp_path / "out"))

@@ -20,7 +20,10 @@ does not read ``t``, so :func:`fp_solve` checks stability and builds the
 face flux at its first step, the largest, and keeps it; any other drift is
 checked and weighted at every step's ``t``.  Either way it steps raw arrays
 through :func:`fp_step`'s update kernel, negative-density guard and clip,
-and validates a :class:`DensityField` only at snapshots.
+and validates a :class:`DensityField` only at snapshots.  One time rule:
+times closer than ``TIME_SLACK * t_final`` are equal.  One step rule:
+:func:`_step_bounds` gives every bound, and :func:`stable_dt` refuses a
+face drift that is not finite.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ MASS_TOL = 1e-9
 NEGATIVE_FLOOR = -1e-12
 #: Fraction of the largest stable step that :func:`stable_dt` returns.
 STABLE_DT_SAFETY = 0.8
+#: Times closer than this fraction of ``t_final`` are equal in :func:`fp_solve`.
+TIME_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -174,13 +179,19 @@ def _face_flux(u_face, sigma, dx):
     return flux
 
 
-def _checked_flux(drift: DriftSpec, sigma: float, grid: Grid1D, t: float, dt: float):
-    """Check a step of ``dt`` at ``t`` against both bounds; the face flux there."""
-    check_number("sigma", sigma, 0.0)
-    check_number("dt", dt, positive=True)
-    u_face = np.asarray(drift(grid.faces[1:-1], t), dtype=float)
-    _check_step(u_face, sigma, grid.dx, dt)
-    return _face_flux(u_face, sigma, grid.dx)
+def _checked_flux(u_face, sigma: float, dx: float, dt: float):
+    """The face flux of ``u_face``; a configuration error names each bound ``dt`` violates."""
+    u_face = np.asarray(u_face, dtype=float)
+    diffusive, advective, _ = _step_bounds(u_face, sigma, dx)
+    problems = []
+    if dt > diffusive:
+        problems.append(f"diffusive stability bound violated: dt={dt:g} > "
+                        f"dx^2/(2 sigma^2)={diffusive:g}")
+    if dt > advective:
+        problems.append(f"advective CFL bound violated: dt={dt:g} > dx/max|u|={advective:g}")
+    if problems:
+        raise ConfigurationError(problems)
+    return _face_flux(u_face, sigma, dx)
 
 
 def _warn_boundary_mass(values: np.ndarray, dx: float) -> bool:
@@ -203,11 +214,10 @@ def _advance(values: np.ndarray, flux, dx: float, dt: float) -> np.ndarray:
     Fails when a value drops below ``NEGATIVE_FLOOR`` and clips the
     rounding-level negatives above it.
     """
-    f = flux(values)
+    moved = dt / dx * flux(values)
     new = values.copy()
-    scale = dt / dx
-    new[:-1] -= scale * f
-    new[1:] += scale * f
+    new[:-1] -= moved
+    new[1:] += moved
     low = float(new.min())
     if not low >= NEGATIVE_FLOOR:  # a NaN fails too
         raise NumericalOverflowError(
@@ -218,43 +228,28 @@ def _advance(values: np.ndarray, flux, dx: float, dt: float) -> np.ndarray:
     return new
 
 
-def _step_bounds(u_face, sigma: float, dx: float):
-    """The diffusive and the advective step bound (inf where absent) and max|u|."""
-    u = np.asarray(u_face, dtype=float)
-    umax = float(np.max(np.abs(u))) if u.size else 0.0
+def _step_bounds(u_face: np.ndarray, sigma: float, dx: float):
+    """The diffusive, advective and positivity step bounds (inf where absent)."""
+    umax = float(np.max(np.abs(u_face)))
     twice_d = 2.0 * sigma * sigma
     diffusive = dx * dx / twice_d if twice_d > 0.0 else math.inf
     advective = dx / umax if umax > 0.0 else math.inf
-    return diffusive, advective, umax
-
-
-def _check_step(u_face, sigma: float, dx: float, dt: float):
-    """Raise a configuration error naming whichever bound ``dt`` violates."""
-    diffusive, advective, _ = _step_bounds(u_face, sigma, dx)
-    problems = []
-    if dt > diffusive:
-        problems.append(
-            f"diffusive stability bound violated: dt={dt:g} > "
-            f"dx^2/(2 sigma^2)={diffusive:g}"
-        )
-    if dt > advective:
-        problems.append(
-            f"advective CFL bound violated: dt={dt:g} > dx/max|u|={advective:g}"
-        )
-    if problems:
-        raise ConfigurationError(problems)
+    dx2 = dx * dx
+    denom = (sigma * sigma / dx2 if dx2 > 0.0 else math.inf) + 2.0 * umax / dx
+    positivity = 1.0 / denom if denom > 0.0 else math.inf  # <= advective / 2
+    return diffusive, advective, positivity
 
 
 def stable_dt(drift: DriftSpec, sigma: float, grid: Grid1D) -> float:
     """A step within both stated bounds and the positivity bound for the drift at t=0."""
     check_number("sigma", sigma, 0.0)
-    diffusive, _, umax = _step_bounds(drift(grid.faces[1:-1], 0.0), sigma, grid.dx)
-    dx2 = grid.dx * grid.dx
-    denom = (sigma * sigma / dx2 if dx2 > 0.0 else math.inf) + 2.0 * umax / grid.dx
-    if not (sigma > 0.0 or umax > 0.0 or denom > 0.0):
+    u_face = np.asarray(drift(grid.faces[1:-1], 0.0), dtype=float)
+    if not np.all(np.isfinite(u_face)):
+        raise InvalidInputError("drift is not finite on the grid faces at t=0")
+    if sigma == 0.0 and not np.any(u_face):
         raise InvalidInputError("no dynamics: sigma and drift are both zero")
-    positivity = 1.0 / denom if denom > 0.0 else math.inf
-    dt = STABLE_DT_SAFETY * min(diffusive, positivity)  # positivity <= advective / 2
+    diffusive, _, positivity = _step_bounds(u_face, sigma, grid.dx)
+    dt = STABLE_DT_SAFETY * min(diffusive, positivity)
     if not 0.0 < dt < math.inf:  # inf where both bounds underflow
         raise InvalidInputError(f"no stable step is representable for dx={grid.dx:g}")
     return dt
@@ -264,8 +259,10 @@ def fp_step(
     rho: DensityField, drift: DriftSpec, sigma: float, t: float, dt: float
 ) -> DensityField:
     """One explicit conservative step; mass is conserved to rounding."""
+    check_number("sigma", sigma, 0.0)
+    check_number("dt", dt, positive=True)
     grid = rho.grid
-    flux = _checked_flux(drift, sigma, grid, t, dt)
+    flux = _checked_flux(drift(grid.faces[1:-1], t), sigma, grid.dx, dt)
     _warn_boundary_mass(rho.values, grid.dx)
     return DensityField(grid, _advance(rho.values, flux, grid.dx, dt))
 
@@ -280,48 +277,50 @@ def fp_solve(
 ) -> tuple[np.ndarray, list[DensityField]]:
     """March the density to ``t_final``, snapshotting at the requested times.
 
-    Snapshots land on the first step boundary at or after each requested
-    time; the returned times are the actual ones.  ``t_final = 0`` returns
-    the initial field unchanged.  The result equals a chain of
-    :func:`fp_step` calls bit for bit; for an autonomous drift the stability
-    check and the face flux are built once, for the largest step taken.  The
-    boundary-mass warning is emitted at most once per call.
+    Times closer than ``TIME_SLACK * t_final`` are equal: the clock steps
+    until it reaches ``t_final``, and a snapshot is taken at the first step
+    boundary that reaches its time or ``t_final``; the returned times are
+    the actual ones.  ``t_final = 0`` returns the initial field unchanged.
+    The result equals a chain of :func:`fp_step` calls bit for bit; for an
+    autonomous drift the stability check and the face flux are built once,
+    for the largest step taken.  It warns of boundary mass at most once.
     """
     check_number("t_final", t_final, 0.0)
     check_number("dt", dt, positive=True)
+    check_number("sigma", sigma, 0.0)
     if not t_final / dt < 2**63:  # an inf ratio fails too
         raise InvalidInputError(
             f"t_final={t_final:g} / dt={dt:g} is more steps than fit in 64 bits"
         )
+    slack = TIME_SLACK * t_final
     if output_times is None:
         output_times = [t_final]
     wanted = sorted(float(t) for t in output_times)
-    if not all(0.0 <= t <= t_final + 1e-12 for t in wanted):  # a NaN fails too
+    if not all(0.0 <= t <= t_final + slack for t in wanted):  # a NaN fails too
         raise InvalidInputError("output times must lie in [0, t_final]")
 
     grid = rho0.grid
-    # ceil with protection against 2.0000000000000004-style float dust
-    n_steps = max(int(np.ceil(t_final / dt - 1e-12)), 0) if t_final > 0 else 0
+    faces = grid.faces[1:-1]
     times: list[float] = []
     snaps: list[DensityField] = []
     t = 0.0
     next_out = 0
     values = rho0.values
     warned = False
-    for k in range(n_steps + 1):
-        if k:
-            step = min(dt, t_final - t)
-            if k == 1 or not drift.autonomous:  # the first step is the largest
-                flux = _checked_flux(drift, sigma, grid, t, step)
-            if not warned:
-                warned = _warn_boundary_mass(values, grid.dx)
-            values = _advance(values, flux, grid.dx, step)
-            t = min(t + step, t_final)
-        # after the last step every time is due, though rounding may leave t a few ulps short
-        while next_out < len(wanted) and (wanted[next_out] <= t + 1e-12 or k == n_steps):
+    while True:
+        while next_out < len(wanted) and min(wanted[next_out], t_final) - slack <= t:
             times.append(t)
-            snaps.append(DensityField(grid, values) if k else rho0)
+            snaps.append(DensityField(grid, values) if t else rho0)
             next_out += 1
+        if not t < t_final - slack:
+            break
+        step = min(dt, t_final - t)
+        if t == 0.0 or not drift.autonomous:  # the first step is the largest
+            flux = _checked_flux(drift(faces, t), sigma, grid.dx, step)
+        if not warned:
+            warned = _warn_boundary_mass(values, grid.dx)
+        values = _advance(values, flux, grid.dx, step)
+        t = min(t + step, t_final)
     return np.asarray(times), snaps
 
 

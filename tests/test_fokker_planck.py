@@ -12,6 +12,7 @@ from spinmech.errors import (
     NumericalOverflowError,
 )
 from spinmech.fokker_planck import (
+    TIME_SLACK,
     DensityField,
     Grid1D,
     fp_solve,
@@ -23,6 +24,7 @@ from spinmech.fokker_planck import (
 from spinmech.sde import DriftSpec, SdeConfig, drift_from_density, simulate_ensemble
 
 ZERO_DRIFT = DriftSpec.linear(0.0)
+NAN_DRIFT = DriftSpec(lambda x, t: np.full_like(x, math.nan), autonomous=True)
 
 
 def gaussian_field(grid, mu=0.0, std=1.0):
@@ -111,6 +113,22 @@ class TestFpStep:
         with pytest.raises(InvalidInputError, match="^sigma must be >= 0"):
             stable_dt(DriftSpec.linear(1.0), sigma, Grid1D(-1.0, 1.0, 16))
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_solve_refuses_a_bad_sigma_without_a_step(self, sigma):
+        f = gaussian_field(Grid1D(-4.0, 4.0, 32), std=0.5)
+        with pytest.raises(InvalidInputError, match="^sigma must be >= 0"):
+            fp_solve(f, DriftSpec.linear(1.0), sigma, 0.0, 1e-3)
+
+    def test_stable_dt_names_no_dynamics_on_an_underflowing_grid(self):
+        # dx * dx underflows to 0, yet sigma and the drift are both zero
+        with pytest.raises(InvalidInputError, match="^no dynamics"):
+            stable_dt(ZERO_DRIFT, 0.0, Grid1D(0.0, 1.6e-169, 16))
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_stable_dt_refuses_a_nan_drift(self, sigma):
+        with pytest.raises(InvalidInputError, match="^drift is not finite"):
+            stable_dt(NAN_DRIFT, sigma, Grid1D(-8.0, 8.0, 32))
+
     @pytest.mark.parametrize("omega,sigma", [(0.0, 1e-200), (1e-320, 0.0)])
     def test_stable_dt_refuses_an_infinite_step(self, omega, sigma):
         # every bound underflows to none, so no finite step is left to return
@@ -160,9 +178,8 @@ class TestFpStep:
     def test_nan_density_raised_by_step(self):
         # a NaN drift passes both step bounds; the negative-density guard must catch it
         g = Grid1D(-8.0, 8.0, 32)
-        nan_drift = DriftSpec(lambda x, t: np.full_like(x, math.nan), autonomous=True)
         with pytest.raises(NumericalOverflowError, match="density went negative or NaN"):
-            fp_step(gaussian_field(g, std=1.0), nan_drift, 1.0, 0.0, 1e-3)
+            fp_step(gaussian_field(g, std=1.0), NAN_DRIFT, 1.0, 0.0, 1e-3)
 
 
 class TestFpSolve:
@@ -172,6 +189,27 @@ class TestFpSolve:
         times, snaps = fp_solve(f, ZERO_DRIFT, 1.0, 0.0, 1e-3)
         assert list(times) == [0.0]
         assert snaps[0] is f
+
+    @pytest.mark.parametrize(
+        "t_final,dt,output_times",
+        [(5e-13, 5e-14, np.linspace(0.0, 5e-13, 3)), (1e-20, 1e-3, None)],
+    )
+    def test_short_horizon_steps_to_each_output_time(self, t_final, dt, output_times):
+        f = gaussian_field(Grid1D(-4.0, 4.0, 64), std=0.5)
+        times, snaps = fp_solve(f, DriftSpec.linear(1.0), 1.0, t_final, dt, output_times)
+        expected = [t_final] if output_times is None else output_times
+        assert times == pytest.approx(expected, rel=TIME_SLACK, abs=0.0)
+        assert snaps[-1] is not f
+
+    @pytest.mark.filterwarnings("ignore:boundary mass")
+    def test_time_dependent_drift_takes_no_zero_length_last_step(self):
+        # ten thousand steps of 0.1 add up to 1000.0000000001588, past t_final
+        g = Grid1D(-300.0, 300.0, 16)
+        drift, calls = counting(DriftSpec.time_scaled(1.0))
+        t_final = 1000.0000000001
+        times, _ = fp_solve(gaussian_field(g, std=50.0), drift, 1.0, t_final, 0.1)
+        assert abs(times[-1] - t_final) <= TIME_SLACK * t_final
+        assert calls[0] == 10_000
 
     def test_final_snapshot_when_steps_sum_short_of_t_final(self):
         # six steps of 3333.3 add up to 19999.8, 3.6e-12 short of 6 * 3333.3

@@ -3,12 +3,14 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinmech import cli
+from spinmech import cli, io
 from spinmech.errors import ConfigurationError
+from spinmech.fokker_planck import DensityField, Grid1D
 from spinmech.scenarios import (
     REGISTRY,
     _auto_record,
@@ -473,6 +475,32 @@ dir = {tmp_path / "out"}
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "summary.txt", "tracking.csv", "tracking_summary.json"
         ]
+
+    def test_short_horizon_density_runs_step_to_t_final(self, tmp_path):
+        # both horizons are shorter than the solver's old absolute time tolerance
+        fp = (
+            "[scenario]\nname = fp_stationary\nseed = 1\n[parameters]\nomega = 1\n"
+            "sigma = 1\nn_cells = 64\nt_final = 5e-13\nn_snapshots = 3\n"
+            f"[output]\ndir = {tmp_path / 'fp'}\n"
+        )
+        assert cli.main(["run", self._write(tmp_path, fp)]) == cli.EXIT_OK
+        manifest = (tmp_path / "fp" / "density_manifest.csv").read_text().splitlines()
+        assert float(manifest[-1].split(",")[1]) == 5e-13
+
+        mc = (
+            "[scenario]\nname = mc_fp_xval\nseed = 7\n[parameters]\nomega = 1\n"
+            "sigma = 1\nt_final = 5e-13\ndt_mc = 5e-14\nn_particles = 200\n"
+            f"n_cells = 64\n[output]\ndir = {tmp_path / 'mc'}\n"
+        )
+        assert cli.main(["run", self._write(tmp_path, mc)]) == cli.EXIT_OK
+        grid = Grid1D(-3.5, 4.5, 64)  # the scenario's default domain
+        s0 = 4.0 * grid.dx  # its default initial width, in cells
+        initial = DensityField.from_function(
+            grid, lambda x: np.exp(-((x - 1.0) ** 2) / (2.0 * s0 * s0))
+        )
+        io.write_density(tmp_path / "initial.csv", initial)
+        density = (tmp_path / "mc" / "fp_density.csv").read_bytes()
+        assert density != (tmp_path / "initial.csv").read_bytes()
 
     def test_refused_run_scenario_creates_no_output_dir(self, tmp_path):
         cfg = parse_config(SMALL_OU.format(out=tmp_path / "out"))

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import apply_overrides
-from .errors import ConfigurationError, InvalidInputError, NumericalOverflowError, SpinmechError
+from .errors import InvalidInputError, NumericalOverflowError, check_int
 from .scenarios import human_summary, list_scenarios, parse_config, run_scenario
 
 EXIT_OK = 0
@@ -50,12 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_config_errors(err: ConfigurationError) -> None:
-    print("configuration errors:", file=sys.stderr)
-    for msg in err.errors:
-        print(f"  - {msg}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -71,40 +65,29 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(text)
-    except ConfigurationError as e:
-        _print_config_errors(e)
-        return EXIT_CONFIG
-
-    if args.command == "validate":
-        print(f"config OK: scenario '{cfg.scenario}', seed {cfg.seed}")
-        return EXIT_OK
-
-    if args.threads < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        if args.command == "validate":
+            print(f"config OK: scenario '{cfg.scenario}', seed {cfg.seed}")
+            return EXIT_OK
+        check_int("--threads", args.threads, 1)
         cfg = apply_overrides(cfg, seed=args.seed, output_dir=args.out)
         summary = run_scenario(cfg, n_workers=args.threads)
     except NumericalOverflowError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ConfigurationError as e:
-        _print_config_errors(e)
-        return EXIT_CONFIG
     except InvalidInputError as e:
-        print(f"invalid configuration value: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SpinmechError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        refused = e.errors
+    except MemoryError:
+        refused = ["configured sizes are too large to allocate"]
     except OSError as e:
         print(f"I/O failure: {e}", file=sys.stderr)
         return EXIT_IO
-    except MemoryError:
-        print("configured sizes are too large to allocate", file=sys.stderr)
-        return EXIT_CONFIG
-    print(human_summary(summary))
-    return EXIT_OK
+    else:
+        print(human_summary(summary))
+        return EXIT_OK
+    print("configuration errors:", file=sys.stderr)
+    for msg in refused:
+        print(f"  - {msg}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def entry_point() -> None:

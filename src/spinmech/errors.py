@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all spinmech modules.
 
+An error's ``errors`` property holds its messages, one per problem, and every
+refused input is an :class:`InvalidInputError`, a :class:`ConfigurationError` too.
 :func:`check_number` is the one place each numeric precondition is written,
-:func:`check_int` the one place each count or seed must be an integer, and
+:func:`check_int` the one place each count or seed must be an integer,
+:func:`check_steps` the one place a step count must fit in 64 bits, and
 :func:`check_overflow` the one place a computed value must be finite.
 """
 
@@ -12,7 +15,14 @@ import numpy as np
 
 
 class SpinmechError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error of this package; its ``args`` are its messages."""
+
+    @property
+    def errors(self) -> list[str]:
+        return [str(a) for a in self.args]
+
+    def __str__(self) -> str:
+        return "; ".join(self.errors)
 
 
 class InvalidInputError(SpinmechError, ValueError):
@@ -23,18 +33,11 @@ class NumericalOverflowError(SpinmechError, ArithmeticError):
     """A state variable became non-finite or crossed the overflow bound."""
 
 
-class ConfigurationError(SpinmechError, ValueError):
-    """A run configuration is inconsistent or violates a stability bound.
+class ConfigurationError(InvalidInputError):
+    """A run configuration is inconsistent or breaks a stability bound; one message or a list."""
 
-    ``errors`` holds one message per problem so callers can report them all
-    at once instead of failing on the first.
-    """
-
-    def __init__(self, errors):
-        if isinstance(errors, str):
-            errors = [errors]
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+    def __init__(self, errors, *more):  # copy and pickle pass the messages one by one
+        super().__init__(*([errors] if isinstance(errors, str) else errors), *more)
 
 
 class FitWindowError(InvalidInputError):
@@ -56,6 +59,16 @@ def check_int(name: str, value, low: float = -math.inf):
         rule = "an integer" if low == -math.inf else f"an integer >= {low:g}"
         raise InvalidInputError(f"{name} must be {rule}, got {value}")
     return value
+
+
+def check_steps(t_final: float, dt: float) -> float:
+    """``t_final / dt`` if it is below ``2**63``; an infinite or NaN ratio fails."""
+    steps = t_final / dt
+    if not steps < 2**63:
+        raise InvalidInputError(
+            f"t_final={t_final:g} / dt={dt:g} is more steps than fit in 64 bits"
+        )
+    return steps
 
 
 def check_overflow(what: str, value):

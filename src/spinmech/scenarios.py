@@ -37,7 +37,7 @@ from .control import (
     simulate_controlled_ensemble,
     simulate_controlled_particle,
 )
-from .errors import ConfigurationError, SpinmechError, check_overflow
+from .errors import ConfigurationError, SpinmechError, check_overflow, check_steps
 from .fokker_planck import (
     DensityField,
     Grid1D,
@@ -158,8 +158,7 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         spec.runner(cfg)
     except SpinmechError as e:
-        problems = e.errors if isinstance(e, ConfigurationError) else [str(e)]
-        raise ConfigurationError([f"scenario '{cfg.scenario}': {m}" for m in problems]) from None
+        raise ConfigurationError([f"scenario '{cfg.scenario}': {m}" for m in e.errors]) from None
     return cfg
 
 
@@ -225,9 +224,7 @@ def run_scenario(cfg: ScenarioConfig, n_workers: int = 1) -> RunSummary:
         out.mkdir(parents=True, exist_ok=True)
         metrics, artifacts = run(out, n_workers)
     except SpinmechError as e:
-        if isinstance(e, ConfigurationError):  # the CLI prints its errors one by one
-            e.errors = [f"scenario '{cfg.scenario}': {msg}" for msg in e.errors]
-        e.args = (f"scenario '{cfg.scenario}': {e}",)
+        e.args = tuple(f"scenario '{cfg.scenario}': {m}" for m in e.errors)
         raise
     missing = set(spec.metrics) - set(metrics)
     extra = set(metrics) - set(spec.metrics)
@@ -284,11 +281,7 @@ def list_scenarios() -> str:
 
 
 def _steps_for(t_final: float, dt: float) -> int:
-    if not t_final / dt < 2**63:  # an inf ratio fails too
-        raise ConfigurationError(
-            f"t_final={t_final:g} / dt={dt:g} is more steps than fit in 64 bits"
-        )
-    n = round(t_final / dt)
+    n = round(check_steps(t_final, dt))
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ConfigurationError(
             f"t_final={t_final:g} must be a whole number of dt={dt:g} steps"
@@ -381,7 +374,8 @@ def _run_fp_stationary(cfg: ScenarioConfig):
     grid = Grid1D(-half, half, p["n_cells"])
 
     def rho_fn(x):
-        return np.exp(-omega * np.asarray(x) ** 2 / (sigma * sigma))
+        with np.errstate(over="ignore"):  # x**2 beyond the float range gives exp(-inf) = 0
+            return np.exp(-omega * np.asarray(x) ** 2 / (sigma * sigma))
 
     drift = drift_from_density(rho_fn, sigma)
     def run(out: Path, n_workers: int):

@@ -223,16 +223,17 @@ def _run_range(drift, cfg, lo, hi, paths):
             if sdt != 0.0:
                 noise[:, i] = sdt * gen.standard_normal(cfg.n_steps)
     paths[lo:hi, 0] = x
-    for k in range(cfg.n_steps):
-        x = _em_update(x, drift, cfg.t0 + k * cfg.dt, cfg.dt, noise[k])
-        if not np.abs(x).max() <= OVERFLOW_LIMIT:  # a NaN max fails too
-            idx = int(np.argmax(~(np.abs(x) <= OVERFLOW_LIMIT)))
-            raise NumericalOverflowError(
-                f"particle {lo + idx} overflowed at step {k + 1} "
-                f"(x={x[idx]!r}, |x| bound {OVERFLOW_LIMIT:g})"
-            )
-        if (k + 1) % cfg.record_every == 0:
-            paths[lo:hi, (k + 1) // cfg.record_every] = x
+    with np.errstate(over="ignore", invalid="ignore"):  # the bound check raises instead
+        for k in range(cfg.n_steps):
+            x = _em_update(x, drift, cfg.t0 + k * cfg.dt, cfg.dt, noise[k])
+            if not np.abs(x).max() <= OVERFLOW_LIMIT:  # a NaN max fails too
+                idx = int(np.argmax(~(np.abs(x) <= OVERFLOW_LIMIT)))
+                raise NumericalOverflowError(
+                    f"particle {lo + idx} overflowed at step {k + 1} "
+                    f"(x={x[idx]!r}, |x| bound {OVERFLOW_LIMIT:g})"
+                )
+            if (k + 1) % cfg.record_every == 0:
+                paths[lo:hi, (k + 1) // cfg.record_every] = x
 
 
 def simulate_ensemble(
@@ -246,6 +247,7 @@ def simulate_ensemble(
     and more than one chunk; otherwise they run on the calling thread, so a
     serial run starts no pool and a per-thread profiler sees all its work.
     """
+    check_int("n_workers", n_workers, 1)
     times = cfg.recorded_times()
     paths = np.empty((cfg.n_particles, times.size))
     chunk = int(_CHUNK_NOISE_BYTES // (8 * cfg.n_steps))
@@ -296,6 +298,7 @@ def momentum_estimate(
     at most ``variance_threshold``.  A row of an ensemble gets exactly the
     estimate that the row alone would get.
     """
+    check_number("variance_threshold", variance_threshold, 0.0)
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float, order="C")  # rows sum as 1-d paths do
     if times.ndim != 1 or positions.ndim not in (1, 2) or positions.shape[-1] != times.size:

@@ -97,6 +97,7 @@ class Spinor:
 
 def equal_up_to_phase(a: Spinor, b: Spinor, tol: float = 1e-12) -> bool:
     """Equality of the physical states: ``|<a|b>| = 1`` within ``tol``."""
+    check_number("tol", tol, 0.0)
     return abs(1.0 - abs(a.overlap(b))) <= tol
 
 

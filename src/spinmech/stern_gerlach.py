@@ -37,6 +37,13 @@ UP = "up"
 DOWN = "down"
 
 
+def _is_up(branch: str) -> bool:
+    """True for the up branch, False for the down one; any other name fails."""
+    if branch not in (UP, DOWN):
+        raise InvalidInputError(f"branch must be '{UP}' or '{DOWN}', got {branch!r}")
+    return branch == UP
+
+
 @dataclass(frozen=True)
 class BeamConfig:
     """Geometry and physics of one beam run.
@@ -78,11 +85,7 @@ class BeamConfig:
 
     def moment_z(self, branch: str) -> float:
         """Transverse moment ``+-gamma*hbar/2`` selected by the branch."""
-        if branch == UP:
-            return 0.5 * self.gamma * self.hbar
-        if branch == DOWN:
-            return -0.5 * self.gamma * self.hbar
-        raise InvalidInputError(f"branch must be '{UP}' or '{DOWN}', got {branch!r}")
+        return (0.5 if _is_up(branch) else -0.5) * self.gamma * self.hbar
 
 
 class PlateRecords:
@@ -102,7 +105,7 @@ class PlateRecords:
         return float(self.is_up.mean())
 
     def branch_arrays(self, branch: str) -> tuple[np.ndarray, np.ndarray]:
-        mask = self.is_up if branch == UP else ~self.is_up
+        mask = self.is_up if _is_up(branch) else ~self.is_up
         return self.z_final[mask], self.p_final[mask]
 
 

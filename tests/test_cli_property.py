@@ -4,7 +4,9 @@ Every scenario's parameters and the seed may take any int, float, bool,
 string or list, non-finite floats and integers beyond 64 bits included.
 ``cli.main`` must return 0, 2, 3 or 4 and never raise; on exit 0 every
 ``metric.`` line of ``summary.txt`` must be a finite number, a bool or
-``undefined``.
+``undefined``.  On exit 2 stderr must read ``configuration errors:`` and
+then one ``  - `` line per problem; on exit 3 it must start with
+``numerical failure:``.
 
 The values that set the amount of work are drawn small so the test stays
 quick: particle, path and cell counts, snapshot and horizon counts, and the
@@ -20,6 +22,8 @@ an explicit example.  To search further, drop ``derandomize`` and raise
 ``max_examples``.
 """
 
+import contextlib
+import io
 import math
 import tempfile
 from pathlib import Path
@@ -266,6 +270,15 @@ FOUND = [
     # dx**2 underflows to 0: no stable step
     ("fp_stationary", 0, {"omega": 1.0, "sigma": 1.0, "n_cells": 16, "t_final": 0,
                           "half_width": 3.836691852083066e-170}),
+    # b(x) * dt overflows in the ensemble step: numpy warned before the bound check
+    ("mc_fp_xval", 0, {"omega": 1.0, "sigma": 1.0, "n_particles": 8, "n_cells": 16,
+                       "t_final": 7.378697629483822e17, "dt_mc": 7.378697629483822e17,
+                       "x0": 1e291}),
+    # x**2 overflows in the stationary density on a grid 6e160 wide: numpy warned
+    ("fp_stationary", 0, {"omega": 1e-320, "sigma": 1.0, "n_cells": 16, "t_final": 0}),
+    # 1 / dx overflows in the unit-mass density on a grid 2e-309 wide: numpy warned
+    ("fp_stationary", 0, {"omega": 1.0, "sigma": 1.0, "n_cells": 16, "t_final": 0,
+                          "half_width": 1e-309}),
     # no divisor of 80 * 734150239091023 lies near it / 4000: the record stride
     # search walked down one stride at a time for hours
     ("momentum_limit", 1, {"horizons": [2.0, 4.0], "n_paths": 2,
@@ -290,9 +303,17 @@ def test_any_parameter_value_gives_a_documented_exit_code(case):
         out = Path(tmp) / "out"
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(_text(scenario, seed, params, out))
-        code = cli.main(["run", str(cfg)])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["run", str(cfg)])
         event(f"{scenario}: exit {code}")
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC, cli.EXIT_IO)
+        lines = err.getvalue().splitlines()
+        if code == cli.EXIT_CONFIG:
+            assert lines[0] == "configuration errors:", lines
+            assert all(line.startswith("  - ") for line in lines[1:]), lines
+        if code == cli.EXIT_NUMERIC:
+            assert lines[0].startswith("numerical failure:"), lines
         if code == cli.EXIT_OK:
             metrics = [
                 line.split(" = ", 1)

@@ -21,7 +21,13 @@ from spinmech.fokker_planck import (
     l1_distance,
     stable_dt,
 )
-from spinmech.sde import DriftSpec, SdeConfig, drift_from_density, simulate_ensemble
+from spinmech.sde import (
+    DriftSpec,
+    SdeConfig,
+    TrajectoryBatch,
+    drift_from_density,
+    simulate_ensemble,
+)
 
 ZERO_DRIFT = DriftSpec.linear(0.0)
 NAN_DRIFT = DriftSpec(lambda x, t: np.full_like(x, math.nan), autonomous=True)
@@ -123,6 +129,9 @@ class TestFpStep:
         # dx * dx underflows to 0, yet sigma and the drift are both zero
         with pytest.raises(InvalidInputError, match="^no dynamics"):
             stable_dt(ZERO_DRIFT, 0.0, Grid1D(0.0, 1.6e-169, 16))
+        # with a drift and no diffusion, the positivity bound is dx / (2 max|u|) = 1/30
+        dt = stable_dt(DriftSpec.linear(1.0), 0.0, Grid1D(0.0, 1.6e-169, 16))
+        assert dt == pytest.approx(0.8 / 30.0)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_stable_dt_refuses_a_nan_drift(self, sigma):
@@ -436,6 +445,12 @@ class TestHistogramDensity:
         field, out_frac = histogram_density(self._batch([0.0, 0.5, 5.0, -7.0]), 0, g)
         assert out_frac == 0.5
         assert abs(field.mass() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("step_index", [99, 2, -3, 1.5, True, "0", None])
+    def test_refuses_a_step_index_outside_the_batch(self, step_index):
+        batch = TrajectoryBatch(times=np.array([0.0, 1.0]), paths=np.zeros((3, 2)))
+        with pytest.raises(InvalidInputError, match="^step_index must be"):
+            histogram_density(batch, step_index, Grid1D(-1.0, 1.0, 16))
 
     def test_real_batch_roundtrip(self):
         cfg = SdeConfig(dt=0.01, n_steps=100, sigma=1.0, n_particles=5000, seed=9, x0=0.0)

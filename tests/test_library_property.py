@@ -6,9 +6,7 @@ or one entry of an array argument) with NaN, +-inf or +-1e308.  The call
 must then raise :class:`InvalidInputError` or :class:`NumericalOverflowError`,
 or return only finite numbers: every number of a returned value or
 dataclass, a returned drift evaluated at ``DRIFT_PROBE`` and a reference
-trajectory at its midpoint.  ``fp_step``
-and ``fp_solve`` may also raise :class:`ConfigurationError`, their error for
-a step beyond the stability bound.  numpy's floating-point warnings fail the
+trajectory at its midpoint.  numpy's floating-point warnings fail the
 suite (``filterwarnings`` in ``pyproject.toml``), so a call must not warn
 either.
 
@@ -22,6 +20,7 @@ drop ``derandomize`` and raise ``max_examples``.
 import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from spinmech.errors import (
     InvalidInputError,
     NumericalOverflowError,
     check_number,
+    check_steps,
 )
 from spinmech.fokker_planck import DensityField, Grid1D, fp_solve, fp_step
 from spinmech.sde import (
@@ -199,12 +199,9 @@ def test_any_float_argument_raises_a_library_error_or_gives_finite_values(case):
     args = {k: copy.deepcopy(v) if isinstance(v, list) else v for k, v in base.items()}
     for path, value in changes.items():
         _set(args, path, value)
-    allowed = (InvalidInputError, NumericalOverflowError)
-    if name.startswith("fp_"):
-        allowed += (ConfigurationError,)
     try:
         result = fn(**args)
-    except allowed:
+    except (InvalidInputError, NumericalOverflowError):
         return
     assert _finite(result), result
 
@@ -229,3 +226,25 @@ def test_check_number_bounds():
         check_number("x", -1.0, 0.0)
     with pytest.raises(InvalidInputError, match="^x must be positive, got 0.0$"):
         check_number("x", 0.0, positive=True)
+
+
+def test_a_configuration_error_is_a_refused_input_with_one_message_per_problem():
+    assert issubclass(ConfigurationError, InvalidInputError)
+    both = ConfigurationError(["a is bad", "b is bad"])
+    assert both.errors == ["a is bad", "b is bad"]
+    assert str(both) == "a is bad; b is bad"
+    assert copy.copy(both).errors == both.errors
+    assert pickle.loads(pickle.dumps(both)).errors == both.errors
+    assert ConfigurationError("a is bad").errors == ["a is bad"]
+    assert InvalidInputError("c is bad").errors == ["c is bad"]
+
+
+@pytest.mark.parametrize("t_final,dt", [(1e300, 1e-10), (2.0**63, 1.0), (inf, 1.0), (nan, 1.0)])
+def test_check_steps_refuses_a_count_beyond_64_bits(t_final, dt):
+    with pytest.raises(InvalidInputError, match="is more steps than fit in 64 bits$"):
+        check_steps(t_final, dt)
+
+
+def test_check_steps_returns_the_ratio():
+    assert check_steps(1.0, 0.25) == 4.0
+    assert check_steps(0.0, 1.0) == 0.0

@@ -389,7 +389,7 @@ dir = {tmp_path / "out"}
         assert cli.main(["run", cfg, *flag]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{where}: expected an integer within 64 bits, got '{seed}'" in err
-        assert len(err.splitlines()) == (1 if flag else 2)  # the file's under a heading
+        assert len(err.splitlines()) == 2  # the heading and one line, for a flag as for the file
         assert not (tmp_path / "out").exists()
 
     def test_numeric_looking_output_dir_is_used_as_written(self, tmp_path, monkeypatch):
@@ -417,7 +417,7 @@ dir = {tmp_path / "out"}
         assert cli.main(["run", self._write(tmp_path, text), *flag]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{where}: the output dir must not be empty" in err
-        assert len(err.splitlines()) == (1 if flag else 2)  # the file's under a heading
+        assert len(err.splitlines()) == 2  # the heading and one line, for a flag as for the file
         assert list(work.iterdir()) == []
 
     def test_run_time_config_error_names_the_scenario(self, tmp_path, capsys):
@@ -519,6 +519,16 @@ dir = {tmp_path / "out"}
         a = (tmp_path / "a" / "trajectories.csv").read_bytes()
         b = (tmp_path / "b" / "trajectories.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_2_under_the_heading(self, tmp_path, capsys, threads):
+        cfg = self._write(tmp_path, SMALL_OU.format(out=tmp_path / "out"))
+        assert cli.main(["run", cfg, "--threads", threads]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration errors:",
+            f"  - --threads must be an integer >= 1, got {threads}",
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_list_scenarios_matches_library(self, capsys):
         assert cli.main(["list-scenarios"]) == cli.EXIT_OK

@@ -226,6 +226,11 @@ class TestSimulateEnsemble:
         threaded = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers=4)
         assert np.array_equal(serial.paths, threaded.paths)
 
+    @pytest.mark.parametrize("n_workers", [0, -3, 1.5, math.nan, True])
+    def test_refuses_a_worker_count_below_one(self, n_workers):
+        with pytest.raises(InvalidInputError, match="^n_workers must be an integer >= 1"):
+            simulate_ensemble(DriftSpec.linear(1.0), ou_cfg(), n_workers=n_workers)
+
     def test_sampled_initial_conditions_reproducible(self):
         cfg = ou_cfg(x0=lambda gen: gen.standard_normal())
         b1 = simulate_ensemble(DriftSpec.linear(1.0), cfg)
@@ -344,6 +349,12 @@ class TestMomentumEstimate:
         t = np.linspace(0.0, 1.0, 50)
         with pytest.raises(InvalidInputError, match="positive times"):
             momentum_estimate(t, t, tail_fraction=1.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, math.inf, None])
+    def test_bad_variance_threshold(self, threshold):
+        t = np.linspace(1, 2, 50)
+        with pytest.raises(InvalidInputError, match="^variance_threshold must be >= 0"):
+            momentum_estimate(t, np.vstack([t, t]), variance_threshold=threshold)
 
     def test_bad_tail_fraction(self):
         t = np.linspace(1, 2, 50)

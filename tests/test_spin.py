@@ -211,6 +211,11 @@ class TestEvolution:
         assert np.max(np.abs(out.as_array() - oracle)) < 1e-10
         assert equal_up_to_phase(out, Spinor.down(), tol=1e-10)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_phase_equality_refuses_a_bad_tolerance(self, tol):
+        with pytest.raises(InvalidInputError, match="^tol must be >= 0"):
+            equal_up_to_phase(Spinor.up(), Spinor.up(), tol=tol)
+
     def test_non_finite_duration_rejected(self):
         with pytest.raises(InvalidInputError):
             evolve_spinor(Spinor.up(), spin_hamiltonian(1.0), np.inf)

@@ -17,6 +17,7 @@ from spinmech.stern_gerlach import (
     PLATE_PROMINENCE,
     UP,
     BeamConfig,
+    PlateRecords,
     _count_prominent_peaks,
     count_plate_modes,
     deflection,
@@ -65,6 +66,15 @@ class TestBeamConfig:
         cfg = beam_cfg(gamma=2.0, hbar=3.0)
         assert cfg.moment_z(UP) == 3.0
         assert cfg.moment_z(DOWN) == -3.0
+
+    @pytest.mark.parametrize("branch", ["sideways", "UP", "", None])
+    def test_one_rule_names_a_branch(self, branch):
+        records = PlateRecords([True, False], [1.0, -1.0], [0.5, -0.5])
+        rule = "^branch must be 'up' or 'down', got "
+        with pytest.raises(InvalidInputError, match=rule):
+            beam_cfg().moment_z(branch)
+        with pytest.raises(InvalidInputError, match=rule):
+            records.branch_arrays(branch)
 
 
 class TestDeflection:

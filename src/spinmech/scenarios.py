@@ -1,15 +1,18 @@
 """Named experiments binding the simulation modules to config files.
 
 Every scenario declares its parameter schema (names, types, defaults,
-invariant checks) in ``REGISTRY``; the same table drives config validation,
-the ``list-scenarios`` catalogue, and the defaults applied at run time, so
-the documentation cannot drift from the behavior.  Each scenario's setup
-(its ``runner``) builds what the run fixes before its first step, sizes no
-array by the config, and returns the run; ``parse_config`` calls it, so
+checks) in ``REGISTRY``; the same table drives config validation, the
+``list-scenarios`` catalogue, and the defaults applied at run time, so the
+documentation cannot drift from the behavior.  Each scenario's setup (its
+``runner``) builds what the run fixes before its first step, sizes no array
+by the config, and returns the run; ``parse_config`` calls it, so
 ``validate`` refuses what ``run`` would before any work, and ``run_scenario``
-calls it again before making the output directory.  Left to the run: checks
-on config-sized arrays (initial density, solver ``dt``) and the stability
-bound of a configured density ``dt``.
+calls it again before making the output directory.  Each rule on a value has
+one home: a registry check states only a rule that no library constructor
+called by the setup states (``SdeConfig``, ``Grid1D``, ``BeamConfig`` and the
+like state the rest).  Left to the run: checks on config-sized arrays
+(initial density, solver ``dt``) and the stability bound of a configured
+density ``dt``.
 
 ``run_scenario`` writes the scenario's CSV artifacts first and then
 computes every reported metric by re-reading those files, so the numbers in
@@ -37,7 +40,7 @@ from .control import (
     simulate_controlled_ensemble,
     simulate_controlled_particle,
 )
-from .errors import ConfigurationError, SpinmechError, check_overflow, check_steps
+from .errors import ConfigurationError, SpinmechError, check_number, check_overflow, check_steps
 from .fokker_planck import (
     DensityField,
     Grid1D,
@@ -77,7 +80,7 @@ class Param:
     name: str
     kind: str  # "int" | "float" | "str" | "list"
     default: object = _REQUIRED
-    check: Optional[tuple[Callable, str]] = None
+    check: Optional[tuple[Callable, str]] = None  # a rule no constructor in the setup states
 
     @property
     def required(self) -> bool:
@@ -294,19 +297,17 @@ _STRIDE_SEARCH = 10**6
 
 
 def _auto_record(n_steps: int, requested: int, target: int = 10) -> int:
-    """A record stride that divides n_steps; 0 requests ~target checkpoints.
+    """A record stride; 0 requests ~target checkpoints at one that divides n_steps.
 
-    The automatic stride is the largest divisor of n_steps that is at most
-    ``top = max(1, n_steps // target)``.  It is also ``n_steps // c`` for the
-    least divisor ``c`` of n_steps (a checkpoint count) at or above
-    ``ceil(n_steps / top)``, so the search walks down the strides and up the
-    checkpoint counts at once, and refuses after ``_STRIDE_SEARCH`` steps.
+    A requested stride is returned as is; ``SdeConfig`` refuses one that does
+    not divide n_steps.  The automatic stride is the largest divisor of
+    n_steps that is at most ``top = max(1, n_steps // target)``.  It is also
+    ``n_steps // c`` for the least divisor ``c`` of n_steps (a checkpoint
+    count) at or above ``ceil(n_steps / top)``, so the search walks down the
+    strides and up the checkpoint counts at once, and refuses after
+    ``_STRIDE_SEARCH`` steps.
     """
     if requested:
-        if n_steps % requested != 0:
-            raise ConfigurationError(
-                f"record_every={requested} does not divide n_steps={n_steps}"
-            )
         return requested
     top = max(1, n_steps // target)
     fewest = -(-n_steps // top)
@@ -369,15 +370,14 @@ def _run_ou_relax(cfg: ScenarioConfig):
 def _run_fp_stationary(cfg: ScenarioConfig):
     p = cfg.parameters
     omega, sigma = p["omega"], p["sigma"]
-    spread = sigma / math.sqrt(2.0 * omega)
-    half = p["half_width"] or 6.0 * spread
-    grid = Grid1D(-half, half, p["n_cells"])
 
     def rho_fn(x):
         with np.errstate(over="ignore"):  # x**2 beyond the float range gives exp(-inf) = 0
             return np.exp(-omega * np.asarray(x) ** 2 / (sigma * sigma))
 
-    drift = drift_from_density(rho_fn, sigma)
+    drift = drift_from_density(rho_fn, sigma)  # refuses sigma <= 0 before it sizes the grid
+    half = p["half_width"] or 6.0 * (sigma / math.sqrt(2.0 * omega))
+    grid = Grid1D(-half, half, p["n_cells"])
     def run(out: Path, n_workers: int):
         rho0 = DensityField.from_function(grid, rho_fn)
         dt = p["dt"] or stable_dt(drift, sigma, grid)
@@ -399,10 +399,9 @@ def _run_fp_stationary(cfg: ScenarioConfig):
 
 def _run_mc_fp_xval(cfg: ScenarioConfig):
     p = cfg.parameters
-    if p["x_min"] >= p["x_max"]:
-        raise ConfigurationError("x_min must be < x_max")
     grid = Grid1D(p["x_min"], p["x_max"], p["n_cells"])
     s0 = p["init_width_cells"] * grid.dx
+    check_number("2 * (init_width_cells * dx)**2", 2.0 * s0 * s0, positive=True)
     n_steps = _steps_for(p["t_final"], p["dt_mc"])
     x0 = p["x0"]
 
@@ -654,8 +653,8 @@ REGISTRY: dict[str, ScenarioSpec] = {
         ),
         params=(
             Param("omega", "float", check=_positive("omega")),
-            Param("sigma", "float", check=_non_negative("sigma")),
-            Param("n_particles", "int", check=_positive("n_particles")),
+            Param("sigma", "float"),
+            Param("n_particles", "int"),
             Param("x0", "float", 1.0),
             Param("dt", "float", 1e-3, check=_positive("dt")),
             Param("t_final", "float", 3.0, check=_positive("t_final")),
@@ -681,8 +680,8 @@ REGISTRY: dict[str, ScenarioSpec] = {
         ),
         params=(
             Param("omega", "float", check=_positive("omega")),
-            Param("sigma", "float", check=_positive("sigma")),
-            Param("n_cells", "int", 512, check=(lambda v: v >= 16, "n_cells must be >= 16")),
+            Param("sigma", "float"),
+            Param("n_cells", "int", 512),
             Param("half_width", "float", 0.0, check=_non_negative("half_width")),
             Param("t_final", "float", 1.0, check=_non_negative("t_final")),
             Param("dt", "float", 0.0, check=_non_negative("dt")),
@@ -700,11 +699,11 @@ REGISTRY: dict[str, ScenarioSpec] = {
         params=(
             Param("omega", "float", check=_positive("omega")),
             Param("sigma", "float", check=_positive("sigma")),
-            Param("n_particles", "int", check=_positive("n_particles")),
+            Param("n_particles", "int"),
             Param("x0", "float", 1.0),
             Param("t_final", "float", 2.0, check=_positive("t_final")),
             Param("dt_mc", "float", 1e-3, check=_positive("dt_mc")),
-            Param("n_cells", "int", 256, check=(lambda v: v >= 16, "n_cells must be >= 16")),
+            Param("n_cells", "int", 256),
             Param("x_min", "float", -3.5),
             Param("x_max", "float", 4.5),
             Param("init_width_cells", "float", 4.0, check=_positive("init_width_cells")),
@@ -724,15 +723,15 @@ REGISTRY: dict[str, ScenarioSpec] = {
             Param("beta_re", "float"),
             Param("beta_im", "float", 0.0),
             Param("n", "int", check=_positive("n")),
-            Param("mass", "float", 1.0, check=_positive("mass")),
+            Param("mass", "float", 1.0),
             Param("gyromagnetic", "float", 1.0),
             Param("grad_bz", "float", -2.0),
-            Param("b_z", "float", 1.0, check=_positive("b_z")),
-            Param("magnet_length", "float", 1.0, check=_positive("magnet_length")),
-            Param("drift_length", "float", 1.0, check=_positive("drift_length")),
-            Param("v_beam", "float", 1.0, check=_positive("v_beam")),
-            Param("sigma_z", "float", 0.0, check=_non_negative("sigma_z")),
-            Param("hbar", "float", 1.0, check=_positive("hbar")),
+            Param("b_z", "float", 1.0),
+            Param("magnet_length", "float", 1.0),
+            Param("drift_length", "float", 1.0),
+            Param("v_beam", "float", 1.0),
+            Param("sigma_z", "float", 0.0),
+            Param("hbar", "float", 1.0),
         ),
         artifacts="plate.csv, branch_summary.csv, summary.txt",
         metrics=(
@@ -765,11 +764,9 @@ REGISTRY: dict[str, ScenarioSpec] = {
             Param("steps_per_horizon", "int", 10000, check=_positive("steps_per_horizon")),
             Param("t0", "float", 1.0, check=_positive("t0")),
             Param("x0", "float", 1.0),
-            Param("sigma", "float", 1.0, check=_non_negative("sigma")),
-            Param("tail_fraction", "float", 0.25, check=(
-                lambda v: 0.0 < v <= 1.0, "tail_fraction must lie in (0, 1]"
-            )),
-            Param("t_floor", "float", 1e-3, check=_positive("t_floor")),
+            Param("sigma", "float", 1.0),
+            Param("tail_fraction", "float", 0.25),
+            Param("t_floor", "float", 1e-3),
             Param("variance_threshold", "float", 1e-3, check=_positive("variance_threshold")),
         ),
         artifacts="momentum.csv, horizon_summary.csv, summary.txt",
@@ -792,7 +789,7 @@ REGISTRY: dict[str, ScenarioSpec] = {
             Param("e0", "float", 1.0),
             Param("eta", "float", 0.0),
             Param("eta_hat", "float", 0.0),
-            Param("sigma", "float", 0.0, check=_non_negative("sigma")),
+            Param("sigma", "float", 0.0),
             Param("t_final", "float", 3.0, check=_positive("t_final")),
             Param("dt", "float", 1e-3, check=_positive("dt")),
             Param("record_every", "int", 0, check=_non_negative("record_every")),
@@ -814,8 +811,8 @@ REGISTRY: dict[str, ScenarioSpec] = {
         ),
         params=(
             _TRACK_OMEGA,
-            Param("sigma", "float", check=_non_negative("sigma")),
-            Param("n_particles", "int", check=_positive("n_particles")),
+            Param("sigma", "float"),
+            Param("n_particles", "int"),
             Param("e0", "float", 1.0),
             Param("t_final", "float", 3.0, check=_positive("t_final")),
             Param("dt", "float", 1e-3, check=_positive("dt")),

@@ -283,6 +283,9 @@ FOUND = [
     # search walked down one stride at a time for hours
     ("momentum_limit", 1, {"horizons": [2.0, 4.0], "n_paths": 2,
                            "steps_per_horizon": 5.873201912728184e+16}),
+    # the initial width squares to 0: numpy warned dividing by it in the density
+    ("mc_fp_xval", 0, {"omega": 1.0, "sigma": 1.0, "n_particles": 8, "t_final": 0.01,
+                       "dt_mc": 0.005, "init_width_cells": 1e-170}),
 ]
 
 

@@ -175,14 +175,22 @@ class TestInvariantPropagation:
         [
             ("ou_relax", {"omega": -1, "sigma": 1, "n_particles": 100}, "omega must be > 0"),
             ("ou_relax", {"omega": 1, "sigma": -1, "n_particles": 100}, "sigma must be >= 0"),
-            ("ou_relax", {"omega": 1, "sigma": 1, "n_particles": 0}, "n_particles must be > 0"),
+            (
+                "ou_relax",
+                {"omega": 1, "sigma": 1, "n_particles": 0},
+                "n_particles must be an integer >= 1",
+            ),
             ("ou_relax", {"omega": 1, "sigma": 1, "n_particles": 10, "dt": -0.1}, "dt must be > 0"),
-            ("fp_stationary", {"omega": 1, "sigma": 1, "n_cells": 8}, "n_cells must be >= 16"),
-            ("fp_stationary", {"omega": 1, "sigma": 0}, "sigma must be > 0"),
+            (
+                "fp_stationary",
+                {"omega": 1, "sigma": 1, "n_cells": 8},
+                "n_cells must be an integer >= 16",
+            ),
+            ("fp_stationary", {"omega": 1, "sigma": 0}, "sigma must be positive"),
             (
                 "mc_fp_xval",
                 {"omega": 1, "sigma": 1, "n_particles": 10, "x_min": 2, "x_max": -2},
-                "x_min must be < x_max",
+                "x_max - x_min must be positive",
             ),
             (
                 "stern_gerlach",
@@ -194,8 +202,16 @@ class TestInvariantPropagation:
                 {"alpha_re": 1e200, "beta_re": 0, "n": 10},
                 "must equal 1 within 1e-9",
             ),
-            ("stern_gerlach", {"alpha_re": 0.6, "beta_re": 0.8, "n": 10, "b_z": -1}, "b_z must be > 0"),
-            ("stern_gerlach", {"alpha_re": 0.6, "beta_re": 0.8, "n": 10, "mass": 0}, "mass must be > 0"),
+            (
+                "stern_gerlach",
+                {"alpha_re": 0.6, "beta_re": 0.8, "n": 10, "b_z": -1},
+                "b_z must be positive",
+            ),
+            (
+                "stern_gerlach",
+                {"alpha_re": 0.6, "beta_re": 0.8, "n": 10, "mass": 0},
+                "mass must be positive",
+            ),
             (
                 "stern_gerlach",
                 {"alpha_re": 0.6, "beta_re": 0.8, "n": 10, "sigma_z": -1},
@@ -214,12 +230,12 @@ class TestInvariantPropagation:
             (
                 "momentum_limit",
                 {"tail_fraction": 1.5},
-                "tail_fraction must lie in (0, 1]",
+                "tail_fraction must be in (0, 1]",
             ),
             (
                 "momentum_limit",
                 {"t_floor": 0},
-                "t_floor must be > 0",
+                "t_floor must be positive",
             ),
             (
                 "track_particle",

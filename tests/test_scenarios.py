@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinmech import cli, io
-from spinmech.errors import ConfigurationError
+from spinmech.errors import ConfigurationError, InvalidInputError
 from spinmech.fokker_planck import DensityField, Grid1D
 from spinmech.scenarios import (
     REGISTRY,
@@ -51,6 +51,28 @@ sigma_z = 0.2
 [output]
 dir = {out}
 """
+
+#: A small valid parameter set per scenario.
+SMALL_PARAMS = {
+    "ou_relax": {"omega": 1, "sigma": 1, "n_particles": 8, "t_final": 0.05, "dt": 0.01},
+    "fp_stationary": {"omega": 1, "sigma": 1, "n_cells": 16, "t_final": 0.01},
+    "mc_fp_xval": {"omega": 1, "sigma": 1, "n_particles": 8, "n_cells": 16, "t_final": 0.01,
+                   "dt_mc": 0.005},
+    "stern_gerlach": {"alpha_re": 0.6, "beta_re": 0.8, "n": 20},
+    "momentum_limit": {"horizons": "2, 4", "n_paths": 4, "steps_per_horizon": 40},
+    "track_particle": {"omega": 1, "t_final": 0.1, "dt": 0.01},
+    "track_ensemble": {"omega": 1, "sigma": 1, "n_particles": 4, "t_final": 0.1, "dt": 0.01},
+}
+
+
+def small_config(scenario, out, **changes):
+    """A config of ``scenario`` with ``SMALL_PARAMS`` and then ``changes``."""
+    params = {**SMALL_PARAMS[scenario], **changes}
+    return (
+        f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n"
+        + "".join(f"{k} = {v}\n" for k, v in params.items())
+        + f"[output]\ndir = {out}\n"
+    )
 
 
 def run_text(text, out_dir, n_workers=1):
@@ -160,7 +182,7 @@ class TestScenarioErrors:
         text = SMALL_OU.format(out=tmp_path).replace(
             "dt = 2e-3", "dt = 2e-3\nrecord_every = 7"
         )
-        with pytest.raises(ConfigurationError, match="does not divide"):
+        with pytest.raises(ConfigurationError, match="record_every must divide n_steps"):
             run_scenario(parse_config(text))
 
     def test_fp_stability_violation_is_config_error_with_context(self, tmp_path):
@@ -427,7 +449,7 @@ dir = {tmp_path / "out"}
         assert cli.main(["run", self._write(tmp_path, text)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.splitlines() == [
             "configuration errors:",
-            "  - scenario 'ou_relax': record_every=7 does not divide n_steps=500",
+            "  - scenario 'ou_relax': record_every must divide n_steps, got 7 for 500 steps",
         ]
 
     @pytest.mark.parametrize(
@@ -437,6 +459,9 @@ dir = {tmp_path / "out"}
             ("ou_relax", "omega = 1\nsigma = 1\nn_particles = 10\nrecord_every = 7"),
             ("track_particle", "omega = 1\nprofile = sine\nangular_freq = 1e300"),
             ("momentum_limit", "horizons = 2, 4\nn_paths = 4\nsteps_per_horizon = 20"),
+            # the initial width's square underflows or overflows
+            ("mc_fp_xval", "omega = 1\nsigma = 1\nn_particles = 8\ninit_width_cells = 1e-170"),
+            ("mc_fp_xval", "omega = 1\nsigma = 1\nn_particles = 8\ninit_width_cells = 1e160"),
         ],
     )
     def test_validate_refuses_what_run_refuses_before_its_first_step(
@@ -452,6 +477,52 @@ dir = {tmp_path / "out"}
         assert validated.startswith(f"configuration errors:\n  - scenario '{scenario}': ")
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == validated
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", sorted(SMALL_PARAMS))
+    def test_small_params_are_valid(self, scenario):
+        assert parse_config(small_config(scenario, "out")).scenario == scenario
+
+    @pytest.mark.parametrize(
+        "scenario,fault,key",
+        [
+            ("ou_relax", {"sigma": -1}, "sigma"),
+            ("ou_relax", {"n_particles": 0}, "n_particles"),
+            ("ou_relax", {"record_every": 7}, "record_every"),
+            ("fp_stationary", {"n_cells": 8}, "n_cells"),
+            ("fp_stationary", {"sigma": 0}, "sigma"),  # refused before it sizes the grid
+            ("mc_fp_xval", {"n_particles": 0}, "n_particles"),
+            ("mc_fp_xval", {"n_cells": 8}, "n_cells"),
+            ("mc_fp_xval", {"x_min": 2, "x_max": -2}, "x_max - x_min"),
+            ("stern_gerlach", {"mass": 0}, "mass"),
+            ("stern_gerlach", {"b_z": -1}, "b_z"),
+            ("stern_gerlach", {"magnet_length": 0}, "magnet_length"),
+            ("stern_gerlach", {"drift_length": -1}, "drift_length"),
+            ("stern_gerlach", {"v_beam": 0}, "v_beam"),
+            ("stern_gerlach", {"sigma_z": -1}, "sigma_z"),
+            ("stern_gerlach", {"hbar": -1}, "hbar"),
+            ("momentum_limit", {"sigma": -1}, "sigma"),
+            ("momentum_limit", {"tail_fraction": 1.5}, "tail_fraction"),
+            ("momentum_limit", {"t_floor": 0}, "t_floor"),
+            ("track_particle", {"sigma": -1}, "sigma"),
+            ("track_ensemble", {"sigma": -1}, "sigma"),
+            ("track_ensemble", {"n_particles": 0}, "n_particles"),
+        ],
+    )
+    def test_a_constructor_rule_is_refused_once_naming_its_key(
+        self, tmp_path, capsys, scenario, fault, key
+    ):
+        # these rules are stated only by the library constructors the setup calls
+        cfg = self._write(tmp_path, small_config(scenario, tmp_path / "out", **fault))
+        assert cli.main(["validate", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        heading, *problems = err.splitlines()
+        assert heading == "configuration errors:"
+        assert len(problems) == 1, problems
+        assert problems[0].startswith(f"  - scenario '{scenario}': {key} must "), problems
+        assert "Traceback" not in err
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -505,7 +576,8 @@ dir = {tmp_path / "out"}
     def test_refused_run_scenario_creates_no_output_dir(self, tmp_path):
         cfg = parse_config(SMALL_OU.format(out=tmp_path / "out"))
         cfg = replace(cfg, parameters={**cfg.parameters, "record_every": 7})
-        with pytest.raises(ConfigurationError, match="^scenario 'ou_relax': record_every=7"):
+        with pytest.raises(InvalidInputError,
+                           match="^scenario 'ou_relax': record_every must divide"):
             run_scenario(cfg)
         assert not (tmp_path / "out").exists()
 

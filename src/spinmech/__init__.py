@@ -17,8 +17,7 @@ from .control import (
     TrackingReport,
     error_dynamics_fit,
     openloop_control,
-    simulate_controlled_ensemble,
-    simulate_controlled_particle,
+    simulate_tracking,
 )
 from .errors import (
     ConfigurationError,

@@ -7,7 +7,9 @@ by the precomputed law ``u(t) = omega v_r(t) + v_r'(t) - eta_hat(t)`` with
 no feedback.  With a correct disturbance estimate the tracking error obeys
 ``e' + omega e = 0`` and decays at the plant rate; for an ensemble whose
 per-particle disturbances average to zero, the same law with
-``eta_hat = 0`` steers the ensemble-mean velocity.
+``eta_hat = 0`` steers the ensemble-mean velocity.  One simulator,
+:func:`simulate_tracking`, serves both: a tracked particle is the
+one-particle ensemble.
 
 The disturbance enters in two forms matching its two roles: a deterministic
 callable (compensable, used for exact-decay checks) and white noise through
@@ -18,7 +20,7 @@ here; ``eta_hat`` is always caller-supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,13 +161,23 @@ def error_dynamics_fit(errors, times, window: tuple[float, float] | None = None)
     return float(slope)
 
 
-def _simulate_tracking(law: ControlLaw, cfg: SdeConfig, disturbance, n_workers: int):
+def simulate_tracking(
+    law: ControlLaw, cfg: SdeConfig, disturbance: Optional[Callable[[float], float]] = None,
+    n_workers: int = 1,
+) -> TrackingReport:
     """Integrate the plant under ``law`` and report the mean tracking error.
 
-    This is the one body of both simulators.  :func:`openloop_control`
-    checks the horizon's two ends, ``cfg.t0`` and ``cfg.t_final``, before
-    any step; every step and recorded time lies between them, so the law is
-    then evaluated without the per-call range check.
+    ``cfg.x0`` sets the initial velocities (a scalar or a per-particle
+    sampler), so the initial mean error is ``E[v(0)] - v_r(0)``; every
+    particle receives the same law.  ``disturbance`` is the true
+    deterministic disturbance on the plant, and ``cfg.sigma`` the white
+    noise.  With ``eta_hat`` matching the disturbance and ``sigma = 0`` the
+    error decays as ``e(0) exp(-omega t)`` up to integrator error.
+
+    :func:`openloop_control` checks the horizon's two ends, ``cfg.t0`` and
+    ``cfg.t_final``, before any step; every step and recorded time lies
+    between them, so the law is then evaluated without the per-call range
+    check.
     """
     openloop_control(law, cfg.t0)
     openloop_control(law, cfg.t_final)
@@ -201,35 +213,3 @@ def _simulate_tracking(law: ControlLaw, cfg: SdeConfig, disturbance, n_workers: 
         terminal_error=float(mean_err[-1]),
         fit_window=window,
     )
-
-
-def simulate_controlled_particle(
-    law: ControlLaw,
-    v0: float,
-    cfg: SdeConfig,
-    disturbance: Optional[Callable[[float], float]] = None,
-) -> TrackingReport:
-    """Track one particle (or a noiseless copy) under the open-loop law.
-
-    ``disturbance`` is the true deterministic disturbance acting on the
-    plant; stochastic disturbance enters through ``cfg.sigma``.  With
-    ``eta_hat`` matching the disturbance and ``sigma = 0`` the error decays
-    as ``e(0) exp(-omega t)`` up to integrator error.
-    """
-    return _simulate_tracking(law, replace(cfg, x0=v0), disturbance, n_workers=1)
-
-
-def simulate_controlled_ensemble(
-    reference: ReferenceTrajectory,
-    omega: float,
-    cfg: SdeConfig,
-    n_workers: int = 1,
-) -> TrackingReport:
-    """Steer an ensemble's mean velocity along the reference.
-
-    Per-particle disturbances are the zero-mean white noise of ``cfg.sigma``;
-    every particle receives the same mean-law input.  ``cfg.x0`` sets the
-    initial velocities (scalar or per-particle sampler), so the initial mean
-    error is ``E[v(0)] - v_r(0)``.
-    """
-    return _simulate_tracking(ControlLaw(omega, reference), cfg, None, n_workers)

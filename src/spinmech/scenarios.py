@@ -9,10 +9,10 @@ by the config, and returns the run; ``parse_config`` calls it, so
 ``validate`` refuses what ``run`` would before any work, and ``run_scenario``
 calls it again before making the output directory.  Each rule on a value has
 one home: a registry check states only a rule that no library constructor
-called by the setup states (``SdeConfig``, ``Grid1D``, ``BeamConfig`` and the
-like state the rest).  Left to the run: checks on config-sized arrays
-(initial density, solver ``dt``) and the stability bound of a configured
-density ``dt``.
+called by the setup states (``SdeConfig``, ``Grid1D``, ``BeamConfig``,
+``ControlLaw`` and the like state the rest).  Left to the run: checks on
+config-sized arrays (initial density, solver ``dt``), made before the run
+writes any artifact, and the stability bound of a configured density ``dt``.
 
 ``run_scenario`` writes the scenario's CSV artifacts first and then
 computes every reported metric by re-reading those files, so the numbers in
@@ -34,12 +34,7 @@ import numpy as np
 
 from . import io
 from .config import EMPTY_DIR, ScenarioConfig, parse_sections, read_value
-from .control import (
-    ControlLaw,
-    ReferenceTrajectory,
-    simulate_controlled_ensemble,
-    simulate_controlled_particle,
-)
+from .control import ControlLaw, ReferenceTrajectory, simulate_tracking
 from .errors import ConfigurationError, SpinmechError, check_number, check_overflow, check_steps
 from .fokker_planck import (
     DensityField,
@@ -418,16 +413,16 @@ def _run_mc_fp_xval(cfg: ScenarioConfig):
         record_every=n_steps,
     )
     drift = DriftSpec.linear(p["omega"])
+
+    def rho_init(x):
+        return np.exp(-((np.asarray(x) - x0) ** 2) / (2.0 * s0 * s0))
+
     def run(out: Path, n_workers: int):
         batch = simulate_ensemble(drift, sde_cfg, n_workers)
         hist, out_frac = histogram_density(batch, -1, grid)
-        io.write_density(out / "mc_histogram.csv", hist)
-
-        def rho_init(x):
-            return np.exp(-((np.asarray(x) - x0) ** 2) / (2.0 * s0 * s0))
-
-        rho0 = DensityField.from_function(grid, rho_init)
+        rho0 = DensityField.from_function(grid, rho_init)  # refused before any artifact
         dt_fp = stable_dt(drift, p["sigma"], grid)
+        io.write_density(out / "mc_histogram.csv", hist)
         _, snaps = fp_solve(rho0, drift, p["sigma"], p["t_final"], dt_fp)
         io.write_density(out / "fp_density.csv", snaps[-1])
 
@@ -589,7 +584,7 @@ def _run_track_particle(cfg: ScenarioConfig):
         omega=p["omega"], reference=reference, eta_hat=lambda t: eta_hat
     )
     def run(out: Path, n_workers: int):
-        report = simulate_controlled_particle(law, sde_cfg.x0, sde_cfg, disturbance=lambda t: eta)
+        report = simulate_tracking(law, sde_cfg, lambda t: eta, n_workers)
         _, metrics = _tracking_metrics(cfg, out, report, eta - eta_hat)
         return metrics, ["tracking.csv", "tracking_summary.json"]
     return run
@@ -598,10 +593,9 @@ def _run_track_particle(cfg: ScenarioConfig):
 def _run_track_ensemble(cfg: ScenarioConfig):
     p = cfg.parameters
     reference, sde_cfg = _tracking_setup(cfg, p["n_particles"], target=100)
+    law = ControlLaw(p["omega"], reference)
     def run(out: Path, n_workers: int):
-        report = simulate_controlled_ensemble(
-            reference, p["omega"], sde_cfg, n_workers=n_workers
-        )
+        report = simulate_tracking(law, sde_cfg, n_workers=n_workers)
         table, base = _tracking_metrics(cfg, out, report, 0.0)
         metrics = {
             "terminal_mean_error": base["terminal_error"],
@@ -624,11 +618,6 @@ def _run_track_ensemble(cfg: ScenarioConfig):
 # registry
 # --------------------------------------------------------------------------
 
-
-_TRACK_OMEGA = Param("omega", "float", check=(
-    lambda v: v > 0,
-    "omega must be > 0 (stable error dynamics require positive omega)",
-))
 
 _FIT_UNDEFINED = (
     "fitted_decay_rate when the mean error in the fit window is zero, changes "
@@ -785,7 +774,7 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "exponential error decay and disturbance compensation."
         ),
         params=(
-            _TRACK_OMEGA,
+            Param("omega", "float"),
             Param("e0", "float", 1.0),
             Param("eta", "float", 0.0),
             Param("eta_hat", "float", 0.0),
@@ -810,7 +799,7 @@ REGISTRY: dict[str, ScenarioSpec] = {
             "per-particle noise keeps individual paths stochastic."
         ),
         params=(
-            _TRACK_OMEGA,
+            Param("omega", "float"),
             Param("sigma", "float"),
             Param("n_particles", "int"),
             Param("e0", "float", 1.0),

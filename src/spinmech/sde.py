@@ -185,6 +185,8 @@ class TrajectoryBatch:
 
     def variances(self) -> np.ndarray:
         """Unbiased (``ddof=1``) variance across particles at each time."""
+        if self.n_particles < 2:
+            raise InvalidInputError(f"variances need at least 2 particles, got {self.n_particles}")
         return self.paths.var(axis=0, ddof=1)
 
 

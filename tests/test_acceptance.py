@@ -12,8 +12,7 @@ import numpy as np
 from spinmech.control import (
     ControlLaw,
     ReferenceTrajectory,
-    simulate_controlled_ensemble,
-    simulate_controlled_particle,
+    simulate_tracking,
 )
 from spinmech.fokker_planck import (
     DensityField,
@@ -290,9 +289,7 @@ def test_criterion_7_single_particle_tracking():
         dt=1e-3, n_steps=3000, sigma=0.0, n_particles=1, seed=0,
         x0=ref.v_r(0.0) + e0, record_every=3,
     )
-    rep = simulate_controlled_particle(
-        law, v0=ref.v_r(0.0) + e0, cfg=cfg, disturbance=lambda t: 0.4
-    )
+    rep = simulate_tracking(law, cfg, lambda t: 0.4)
     target = math.exp(-3.0)
     c.check(
         "e(3) = e^-3 within 1%",
@@ -312,9 +309,7 @@ def test_criterion_7_single_particle_tracking():
         dt=1e-3, n_steps=10_000, sigma=0.0, n_particles=1, seed=0,
         x0=ref.v_r(0.0) + e0, record_every=10,
     )
-    rep2 = simulate_controlled_particle(
-        law2, v0=ref.v_r(0.0) + e0, cfg=cfg2, disturbance=lambda t: 0.5
-    )
+    rep2 = simulate_tracking(law2, cfg2, lambda t: 0.5)
     c.check(
         "uncompensated steady-state error = 0.5 within 1%",
         abs(rep2.terminal_error - 0.5) < 0.005,
@@ -332,7 +327,7 @@ def test_criterion_8_ensemble_mean_tracking():
         dt=1e-3, n_steps=3000, sigma=sigma, n_particles=n, seed=31337,
         x0=ref.v_r(0.0) + e0, record_every=300,
     )
-    rep = simulate_controlled_ensemble(ref, omega, cfg, n_workers=2)
+    rep = simulate_tracking(ControlLaw(omega, ref), cfg, n_workers=2)
     band = 3.0 / math.sqrt(n)
     target = e0 * math.exp(-3.0)
     gap = abs(rep.terminal_error - target)

@@ -240,7 +240,7 @@ class TestInvariantPropagation:
             (
                 "track_particle",
                 {"omega": -1},
-                "stable error dynamics require positive omega",
+                "omega must be positive",
             ),
             (
                 "track_particle",
@@ -250,7 +250,7 @@ class TestInvariantPropagation:
             (
                 "track_ensemble",
                 {"omega": -2, "sigma": 1, "n_particles": 10},
-                "stable error dynamics require positive omega",
+                "omega must be positive",
             ),
         ],
     )

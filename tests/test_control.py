@@ -11,8 +11,7 @@ from spinmech.control import (
     ReferenceTrajectory,
     error_dynamics_fit,
     openloop_control,
-    simulate_controlled_ensemble,
-    simulate_controlled_particle,
+    simulate_tracking,
 )
 from spinmech.errors import FitWindowError, InvalidInputError
 from spinmech.sde import SdeConfig
@@ -194,18 +193,14 @@ class TestSimulateControlledParticle:
     def test_zero_error_stays_zero(self):
         law = self._law(eta_hat=lambda t: 0.4)
         cfg = self._cfg(v0=1.0)
-        rep = simulate_controlled_particle(
-            law, v0=1.0, cfg=cfg, disturbance=lambda t: 0.4
-        )
+        rep = simulate_tracking(law, cfg, lambda t: 0.4)
         assert np.max(np.abs(rep.errors)) < 1e-12
 
     def test_compensated_exponential_decay(self):
         # e(0)=1, omega=1: closed-form linear-ODE solution e^{-t}
         law = self._law(eta_hat=lambda t: 0.4)
         cfg = self._cfg(v0=2.0)
-        rep = simulate_controlled_particle(
-            law, v0=2.0, cfg=cfg, disturbance=lambda t: 0.4
-        )
+        rep = simulate_tracking(law, cfg, lambda t: 0.4)
         assert abs(rep.terminal_error - math.exp(-3.0)) < 0.01 * math.exp(-3.0)
         assert rep.fitted_decay_rate is not None
         assert abs(rep.fitted_decay_rate + 1.0) < 0.01
@@ -216,9 +211,7 @@ class TestSimulateControlledParticle:
         # linear-ODE steady state eta/omega
         law = self._law(duration=10.0 + 1e-6)
         cfg = self._cfg(t_final=10.0, v0=1.0)
-        rep = simulate_controlled_particle(
-            law, v0=1.0, cfg=cfg, disturbance=lambda t: 0.5
-        )
+        rep = simulate_tracking(law, cfg, lambda t: 0.5)
         assert abs(rep.terminal_error - 0.5) < 0.005
 
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
@@ -226,9 +219,7 @@ class TestSimulateControlledParticle:
         # |e(t) - e(0) e^{-omega t}| stays under 1% of |e(0)| throughout
         law = self._law(omega=omega, eta_hat=lambda t: 0.2)
         cfg = self._cfg(v0=2.0)
-        rep = simulate_controlled_particle(
-            law, v0=2.0, cfg=cfg, disturbance=lambda t: 0.2
-        )
+        rep = simulate_tracking(law, cfg, lambda t: 0.2)
         envelope = np.exp(-omega * rep.times)
         assert np.max(np.abs(rep.errors - envelope)) < 0.01
 
@@ -236,10 +227,10 @@ class TestSimulateControlledParticle:
         law = self._law(duration=1.0)
         cfg = self._cfg(t_final=3.0)
         with pytest.raises(InvalidInputError, match="horizon"):
-            simulate_controlled_particle(law, v0=1.0, cfg=cfg)
+            simulate_tracking(law, cfg)
         early = replace(self._cfg(t_final=0.5), t0=-0.1)
         with pytest.raises(InvalidInputError, match="horizon"):
-            simulate_controlled_particle(law, v0=1.0, cfg=early)
+            simulate_tracking(law, early)
 
 
 class TestSimulateControlledEnsemble:
@@ -250,7 +241,7 @@ class TestSimulateControlledEnsemble:
             dt=1e-3, n_steps=n_steps, sigma=0.0, n_particles=4, seed=0, x0=1.0, t0=t0
         )
         with pytest.raises(InvalidInputError, match="horizon"):
-            simulate_controlled_ensemble(ref, omega=1.0, cfg=cfg)
+            simulate_tracking(ControlLaw(1.0, ref), cfg)
 
     def test_all_on_reference_zero_mean_error(self):
         ref = ReferenceTrajectory.constant(1.0, 2.0 + 1e-6)
@@ -258,7 +249,7 @@ class TestSimulateControlledEnsemble:
             dt=1e-3, n_steps=2000, sigma=0.0, n_particles=16, seed=0, x0=1.0,
             record_every=100,
         )
-        rep = simulate_controlled_ensemble(ref, omega=1.0, cfg=cfg)
+        rep = simulate_tracking(ControlLaw(1.0, ref), cfg)
         assert np.max(np.abs(rep.errors)) < 1e-12
 
     def test_mean_error_decays_within_clt_band(self):
@@ -269,7 +260,7 @@ class TestSimulateControlledEnsemble:
             dt=1e-3, n_steps=2000, sigma=sigma, n_particles=n, seed=77,
             x0=ref.v_r(0.0) + 1.0, record_every=100,
         )
-        rep = simulate_controlled_ensemble(ref, omega=1.0, cfg=cfg)
+        rep = simulate_tracking(ControlLaw(1.0, ref), cfg)
         band = 3 * sigma / math.sqrt(n)
         assert abs(rep.terminal_error - math.exp(-2.0)) < band
 
@@ -281,6 +272,6 @@ class TestSimulateControlledEnsemble:
             dt=2e-3, n_steps=2000, sigma=1.0, n_particles=n, seed=5, x0=1.0,
             record_every=200,
         )
-        rep = simulate_controlled_ensemble(ref, omega=1.0, cfg=cfg)
+        rep = simulate_tracking(ControlLaw(1.0, ref), cfg)
         terminal_var = rep.error_std[-1] ** 2
         assert abs(terminal_var - 0.5) < 0.05

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmech import io
-from spinmech.control import ControlLaw, ReferenceTrajectory, simulate_controlled_particle
+from spinmech.control import ControlLaw, ReferenceTrajectory, simulate_tracking
 from spinmech.fokker_planck import DensityField, Grid1D, l1_distance
 from spinmech.sde import DriftSpec, SdeConfig, simulate_ensemble
 from spinmech.spin import Spinor
@@ -113,7 +113,7 @@ def test_tracking_report_round_trip(tmp_path):
     law = ControlLaw(1.0, ref)
     cfg = SdeConfig(dt=1e-2, n_steps=100, sigma=0.0, n_particles=1, seed=0, x0=2.0,
                     record_every=10)
-    report = simulate_controlled_particle(law, v0=2.0, cfg=cfg)
+    report = simulate_tracking(law, cfg)
     path = tmp_path / "tracking.csv"
     io.write_tracking_report(path, report)
     table = io.read_tracking_table(path)

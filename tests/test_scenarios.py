@@ -479,6 +479,16 @@ dir = {tmp_path / "out"}
         assert capsys.readouterr().err == validated
         assert not (tmp_path / "out").exists()
 
+    def test_density_refused_at_run_time_leaves_no_artifact(self, tmp_path, capsys):
+        # validate passes this width; its initial density is zero on every cell
+        out = tmp_path / "out"
+        cfg = self._write(tmp_path, small_config("mc_fp_xval", out, init_width_cells=1e-150))
+        assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "configuration errors:"
+        assert len(err) == 2 and "density function integrates to zero" in err[1], err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("scenario", sorted(SMALL_PARAMS))
     def test_small_params_are_valid(self, scenario):
         assert parse_config(small_config(scenario, "out")).scenario == scenario
@@ -507,6 +517,10 @@ dir = {tmp_path / "out"}
             ("track_particle", {"sigma": -1}, "sigma"),
             ("track_ensemble", {"sigma": -1}, "sigma"),
             ("track_ensemble", {"n_particles": 0}, "n_particles"),
+            ("track_particle", {"omega": 0}, "omega"),
+            ("track_particle", {"omega": -1}, "omega"),
+            ("track_ensemble", {"omega": 0}, "omega"),
+            ("track_ensemble", {"omega": -1}, "omega"),
         ],
     )
     def test_a_constructor_rule_is_refused_once_naming_its_key(

@@ -186,6 +186,11 @@ class TestTrajectoryBatch:
         with pytest.raises(InvalidInputError, match="strictly increasing"):
             TrajectoryBatch(np.array([0.0, math.nan, 2.0]), np.zeros((1, 3)))
 
+    def test_variances_refuse_one_particle(self):
+        batch = TrajectoryBatch(np.array([0.0, 1.0]), np.zeros((1, 2)))
+        with pytest.raises(InvalidInputError, match="at least 2 particles, got 1"):
+            batch.variances()
+
 
 class TestSimulateEnsemble:
     def test_deterministic_limit_matches_exponential(self):

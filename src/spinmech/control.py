@@ -30,7 +30,7 @@ from .sde import DriftSpec, SdeConfig, simulate_ensemble
 
 #: Relative agreement required between v_r_dot and a central difference of v_r.
 DERIVATIVE_CONSISTENCY_TOL = 1e-6
-#: Default decay-fit window as fractions of the horizon (skips transients/floor).
+#: Decay-fit window as fractions of the horizon (skips transients/floor).
 FIT_WINDOW = (0.1, 0.9)
 
 
@@ -38,27 +38,22 @@ FIT_WINDOW = (0.1, 0.9)
 class ReferenceTrajectory:
     """Reference velocity ``v_r(t)`` with its derivative on ``[0, duration]``.
 
-    A missing derivative is replaced by a central difference with step
-    ``1e-5 * duration``.  A given derivative is cross-checked against that
-    difference on a probe grid at construction, so an inconsistent analytic
-    derivative is rejected immediately rather than corrupting a run.
+    The constructor cross-checks the derivative against a central difference
+    of ``v_r`` (step ``1e-5 * duration``) on a probe grid and rejects an
+    inconsistent one.  The factories' derivatives are exact, and that
+    difference's own error could refuse them, so they skip the probe.
     """
 
     v_r: Callable[[float], float]
-    v_r_dot: Optional[Callable[[float], float]]
+    v_r_dot: Callable[[float], float]
     duration: float
 
     def __post_init__(self):
         h = 1e-5 * check_number("duration", self.duration, positive=True)
         if h == 0.0:  # a subnormal duration
             raise InvalidInputError(f"duration {self.duration!r} has no difference step")
-        v = self.v_r
-        central = lambda t: (v(t + h) - v(t - h)) / (2 * h)
-        if self.v_r_dot is None:
-            object.__setattr__(self, "v_r_dot", central)
-            return
         for t in np.linspace(2 * h, self.duration - 2 * h, 33).tolist():  # no numpy warnings
-            fd = central(t)
+            fd = (self.v_r(t + h) - self.v_r(t - h)) / (2 * h)
             stated = check_number(f"v_r_dot({t:g})", self.v_r_dot(t))
             if not abs(fd - stated) <= DERIVATIVE_CONSISTENCY_TOL * (1.0 + abs(stated)):
                 raise InvalidInputError(
@@ -67,19 +62,31 @@ class ReferenceTrajectory:
                 )
 
     @classmethod
+    def _exact(cls, v_r, v_r_dot, duration: float) -> "ReferenceTrajectory":
+        """A closed-form pair, built without the probe."""
+        check_number("duration", duration, positive=True)
+        ref = object.__new__(cls)
+        vars(ref).update(v_r=v_r, v_r_dot=v_r_dot, duration=duration)
+        return ref
+
+    @classmethod
     def constant(cls, level: float, duration: float) -> "ReferenceTrajectory":
-        return cls(lambda t: level, lambda t: 0.0, duration)
+        check_number("level", level)
+        return cls._exact(lambda t: level, lambda t: 0.0, duration)
 
     @classmethod
     def ramp(cls, rate: float, duration: float, start: float = 0.0) -> "ReferenceTrajectory":
-        return cls(lambda t: start + rate * t, lambda t: rate, duration)
+        check_number("start + rate * duration", start + rate * duration)
+        return cls._exact(lambda t: start + rate * t, lambda t: rate, duration)
 
     @classmethod
     def sine(
         cls, amplitude: float, angular_freq: float, duration: float, offset: float = 0.0
     ) -> "ReferenceTrajectory":
         check_number("angular_freq * duration", angular_freq * duration)  # math.sin(inf) raises
-        return cls(
+        check_number("|offset| + |amplitude|", abs(offset) + abs(amplitude))  # bounds v_r
+        check_number("amplitude * angular_freq", amplitude * angular_freq)  # bounds v_r_dot
+        return cls._exact(
             lambda t: offset + amplitude * math.sin(angular_freq * t),
             lambda t: amplitude * angular_freq * math.cos(angular_freq * t),
             duration,
@@ -129,23 +136,22 @@ class TrackingReport:
 
 
 def _fit_window(times) -> tuple[float, float]:
-    """The default fit window: the ``FIT_WINDOW`` fractions of the run's span."""
+    """The fit window: the ``FIT_WINDOW`` fractions of the run's span."""
     span = times[-1] - times[0]
     return times[0] + FIT_WINDOW[0] * span, times[0] + FIT_WINDOW[1] * span
 
 
-def error_dynamics_fit(errors, times, window: tuple[float, float] | None = None) -> float:
-    """Least-squares slope of ``ln|e(t)|`` over a window of the run.
+def error_dynamics_fit(errors, times) -> float:
+    """Least-squares slope of ``ln|e(t)|`` over the run's central ``[0.1 T, 0.9 T]``.
 
-    ``window`` is a time interval; the default spans the central
-    ``[0.1 T, 0.9 T]`` to avoid initial transients and terminal floors.
+    That ``FIT_WINDOW`` skips initial transients and terminal floors.
     Windows containing zeros or sign changes are rejected.
     """
     times = np.asarray(times, dtype=float)
     errors = np.asarray(errors, dtype=float)
     if times.shape != errors.shape or times.ndim != 1:
         raise InvalidInputError("times and errors must be matching 1-d arrays")
-    lo, hi = _fit_window(times) if window is None else window
+    lo, hi = _fit_window(times)
     mask = (times >= lo) & (times <= hi)
     e = errors[mask]
     t = times[mask]
@@ -199,9 +205,8 @@ def simulate_tracking(
         else np.zeros_like(mean_err)
     )
     control = np.array([_law_value(law, t) for t in times])
-    window = _fit_window(times)
     try:
-        rate = error_dynamics_fit(mean_err, times, window)
+        rate = error_dynamics_fit(mean_err, times)
     except FitWindowError:
         rate = None
     return TrackingReport(
@@ -211,5 +216,5 @@ def simulate_tracking(
         control=control,
         fitted_decay_rate=rate,
         terminal_error=float(mean_err[-1]),
-        fit_window=window,
+        fit_window=_fit_window(times),
     )

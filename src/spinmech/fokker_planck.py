@@ -15,9 +15,9 @@ numerical diffusion.
 Time stepping is explicit with checked stability bounds; grids here are
 small enough that implicit solvers would buy nothing but opacity.
 
-A drift marked ``DriftSpec.autonomous`` (linear, from-density, tabulated)
-does not read ``t``, so :func:`fp_solve` checks stability and builds the
-face flux at its first step, the largest, and keeps it; any other drift is
+A drift marked ``DriftSpec.autonomous`` (linear, from-density) does not
+read ``t``, so :func:`fp_solve` checks stability and builds the face flux
+at its first step, the largest, and keeps it; any other drift is
 checked and weighted at every step's ``t``.  Either way it steps raw arrays
 through :func:`fp_step`'s update kernel, negative-density guard and clip,
 and validates a :class:`DensityField` only at snapshots.  One time rule:
@@ -144,17 +144,9 @@ class DensityField:
 
 def _drift_weight(w: np.ndarray) -> np.ndarray:
     """Downwind cell weight: 1/w - 1/(e^w - 1); 1/2 at w=0, upwind limits at +-inf."""
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-8
-    out[small] = 0.5 - w[small] / 12.0
-    big_pos = w > 500.0
-    big_neg = w < -500.0
-    out[big_pos] = 1.0 / w[big_pos]
-    out[big_neg] = 1.0 + 1.0 / w[big_neg]
-    mid = ~(small | big_pos | big_neg)
-    wm = w[mid]
-    out[mid] = 1.0 / wm - 1.0 / np.expm1(wm)
-    return out
+    # expm1 overflowing to inf or rounding to -1 gives those limits; a series covers w ~ 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # both sides are built
+        return np.where(np.abs(w) < 1e-8, 0.5 - w / 12.0, 1.0 / w - 1.0 / np.expm1(w))
 
 
 def _face_flux(u_face, sigma, dx):

@@ -415,7 +415,8 @@ def _run_mc_fp_xval(cfg: ScenarioConfig):
     drift = DriftSpec.linear(p["omega"])
 
     def rho_init(x):
-        return np.exp(-((np.asarray(x) - x0) ** 2) / (2.0 * s0 * s0))
+        with np.errstate(over="ignore"):  # a subnormal 2 s0**2 gives exp(-inf) = 0
+            return np.exp(-((np.asarray(x) - x0) ** 2) / (2.0 * s0 * s0))
 
     def run(out: Path, n_workers: int):
         batch = simulate_ensemble(drift, sde_cfg, n_workers)

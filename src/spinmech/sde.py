@@ -15,8 +15,6 @@ Drift variants:
   that makes a given positive density stationary.
 * ``DriftSpec.time_scaled(t_floor)`` -- ``x / max(t, t_floor)``, the
   long-time ballistic drift whose paths have a limiting velocity ``x_t/t``.
-* ``DriftSpec.tabulated(xs, bs)`` -- linear interpolation of sampled drift
-  values.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ class DriftSpec:
     """A drift function ``b(x, t)``; callables must accept ndarray ``x``.
 
     ``autonomous`` states that ``fn`` ignores ``t``, so a solver may evaluate
-    it once and reuse the result at every step.  ``linear``, ``tabulated``
-    and :func:`drift_from_density` set it; a drift that reads ``t``
+    it once and reuse the result at every step.  ``linear`` and
+    :func:`drift_from_density` set it; a drift that reads ``t``
     (time-scaled, the controlled plants) leaves it False.
     """
 
@@ -71,21 +69,6 @@ class DriftSpec:
         """Drift ``b(x, t) = x / max(t, t_floor)``, finite for all t >= 0."""
         check_number("t_floor", t_floor, positive=True)
         return DriftSpec(lambda x, t: x / max(t, t_floor))
-
-    @staticmethod
-    def tabulated(xs, bs) -> "DriftSpec":
-        """Piecewise-linear drift through samples ``(xs, bs)``."""
-        xs = np.asarray(xs, dtype=float)
-        bs = np.asarray(bs, dtype=float)
-        if xs.ndim != 1 or xs.shape != bs.shape or xs.size < 2:
-            raise InvalidInputError("tabulated drift needs matching 1-d samples")
-        if not (np.all(np.isfinite([xs, bs])) and np.all(xs[1:] > xs[:-1])):
-            raise InvalidInputError("tabulated drift needs finite samples on an increasing grid")
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite slope fails below
-            slopes = np.diff(bs) / np.diff(xs)
-        if not np.all(np.isfinite(slopes)):  # np.interp would return inf without a warning
-            raise InvalidInputError("tabulated drift needs finite slopes between samples")
-        return DriftSpec(lambda x, t: np.interp(x, xs, bs), autonomous=True)
 
 
 def drift_from_density(

@@ -39,13 +39,6 @@ class TestReferenceTrajectory:
         with pytest.raises(InvalidInputError, match="disagrees"):
             ReferenceTrajectory(math.sin, lambda t: -math.cos(t), duration=5.0)
 
-    def test_finite_difference_fallback(self):
-        ref = ReferenceTrajectory(math.sin, None, duration=5.0)
-        assert abs(ref.v_r_dot(1.0) - math.cos(1.0)) < 1e-6
-        # the law then runs on the difference quotient
-        u = openloop_control(ControlLaw(1.0, ref), 1.0)
-        assert abs(u - (math.cos(1.0) + math.sin(1.0))) < 1e-4
-
     def test_duration_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             ReferenceTrajectory(math.sin, math.cos, duration=0.0)
@@ -159,12 +152,6 @@ class TestErrorDynamicsFit:
         e[5] = 0.0
         with pytest.raises(FitWindowError, match="zero"):
             error_dynamics_fit(e, t)
-
-    def test_explicit_window(self):
-        t = np.arange(0, 10, 0.01)
-        e = np.exp(-1.0 * t) + 1e-9  # late-time floor
-        slope = error_dynamics_fit(e, t, window=(1.0, 5.0))
-        assert abs(slope + 1.0) < 1e-3
 
 
 @pytest.fixture

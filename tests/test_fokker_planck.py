@@ -15,6 +15,7 @@ from spinmech.fokker_planck import (
     TIME_SLACK,
     DensityField,
     Grid1D,
+    _drift_weight,
     fp_solve,
     fp_step,
     histogram_density,
@@ -85,6 +86,43 @@ class TestDensityField:
         f = gaussian_field(g, mu=0.5, std=0.7)
         assert abs(f.mean() - 0.5) < 1e-6
         assert abs(f.variance() - 0.49) < 1e-3
+
+
+def _four_regime_weight(w):
+    """Reference face weight: the series, both upwind limits and the closed form."""
+    out = np.empty_like(w)
+    small = np.abs(w) < 1e-8
+    big_pos = w > 500.0
+    big_neg = w < -500.0
+    mid = ~(small | big_pos | big_neg)
+    out[small] = 0.5 - w[small] / 12.0
+    out[big_pos] = 1.0 / w[big_pos]
+    out[big_neg] = 1.0 + 1.0 / w[big_neg]
+    out[mid] = 1.0 / w[mid] - 1.0 / np.expm1(w[mid])
+    return out
+
+
+def _around(values):
+    """``values``, their float neighbours and all of their negatives."""
+    v = np.array(values, dtype=float)
+    v = np.concatenate([v, np.nextafter(v, math.inf), np.nextafter(v, -math.inf)])
+    return np.concatenate([v, -v])
+
+
+_RANDOM = np.random.default_rng(20)
+WEIGHT_SAMPLES = {
+    # the series bound, the old upwind cut-off, where expm1 overflows or reaches -1
+    "edges": _around([0.0, 1e-8, 500.0, 709.0, 710.0, 745.0, 746.0, 1e308, math.inf]),
+    "random": _RANDOM.choice([-1.0, 1.0], 10**5) * 10.0 ** _RANDOM.uniform(-12, 4, 10**5),
+}
+
+
+@pytest.mark.parametrize("sample", sorted(WEIGHT_SAMPLES))
+def test_drift_weight_equals_the_four_regime_formula(sample):
+    w = WEIGHT_SAMPLES[sample]
+    got, expected = _drift_weight(w), _four_regime_weight(w)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestFpStep:
@@ -310,12 +348,12 @@ def _rho_stationary(x):
     return np.exp(-np.asarray(x) ** 2)
 
 
+_SAMPLES = np.linspace(-5.0, 5.0, 41)
+
 AUTONOMOUS_DRIFTS = {
     "linear": DriftSpec.linear(1.5),
     "from_density": drift_from_density(_rho_stationary, 1.0),
-    "tabulated": DriftSpec.tabulated(
-        np.linspace(-5.0, 5.0, 41), np.sin(np.linspace(-5.0, 5.0, 41))
-    ),
+    "tabulated": DriftSpec(lambda x, t: np.interp(x, _SAMPLES, np.sin(_SAMPLES)), autonomous=True),
 }
 
 
@@ -379,7 +417,10 @@ class TestAutonomousFastPath:
         g = Grid1D(-4.0, 4.0, 65)
         sigma, dx = 1.0, g.dx
         u = 2.0 * sigma**2 / dx
-        drift = DriftSpec.tabulated([-4.0, -dx / 4, dx / 4, 4.0], [-u, -u, u, u])
+        drift = DriftSpec(
+            lambda x, t: np.interp(x, [-4.0, -dx / 4, dx / 4, 4.0], [-u, -u, u, u]),
+            autonomous=True,
+        )
         dt = 0.99 * min(dx * dx / (2.0 * sigma**2), dx / u)
         spike = np.zeros(65)
         spike[32] = 1.0 / dx

@@ -76,8 +76,6 @@ CALLS = {
                               "seed": 1, "x0": 0.5, "t0": 0.0}),
     "DriftSpec.linear": (DriftSpec.linear, {"omega": 1.0}),
     "DriftSpec.time_scaled": (DriftSpec.time_scaled, {"t_floor": 1e-3}),
-    "DriftSpec.tabulated": (DriftSpec.tabulated, {"xs": [0.0, 1.0, 2.0],
-                                                  "bs": [1.0, 0.0, -1.0]}),
     "drift_from_density": (drift_from_density, {"rho0": lambda x: np.exp(-x * x),
                                                 "sigma": 1.0}),
     "euler_maruyama_step": (euler_maruyama_step, {"x": [0.5, -0.5], "drift": LINEAR,
@@ -151,7 +149,6 @@ FOUND = [
     ("SdeConfig", {("x0",): nan}),
     ("Grid1D", {("x_min",): -inf}),
     ("ReferenceTrajectory.constant", {("level",): nan}),
-    ("DriftSpec.tabulated", {("xs", 1): nan}),
     ("DriftSpec.time_scaled", {("t_floor",): nan}),
     ("drift_from_density", {("sigma",): nan}),
     ("energy_levels", {("omega0",): nan}),
@@ -170,7 +167,6 @@ FOUND = [
     ("precess_moment", {("gamma",): 1e308, ("dt",): 1e308}),
     ("precess_moment", {("gamma_vec", 0): 1e308, ("field", 0): 1e308}),
     ("ou_analytic_moments", {("sigma",): 1e308, ("t", 1): 1e308}),
-    ("DriftSpec.tabulated", {("bs", 0): 1e308, ("bs", 1): -1e308}),
 ]
 
 

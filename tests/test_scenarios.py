@@ -457,7 +457,9 @@ dir = {tmp_path / "out"}
         [
             ("ou_relax", "omega = 1\nsigma = 1\nn_particles = 10\ndt = 0.3\nt_final = 1.0"),
             ("ou_relax", "omega = 1\nsigma = 1\nn_particles = 10\nrecord_every = 7"),
-            ("track_particle", "omega = 1\nprofile = sine\nangular_freq = 1e300"),
+            # the sine's derivative amplitude * angular_freq overflows
+            ("track_particle",
+             "omega = 1\nprofile = sine\namplitude = 1e300\nangular_freq = 1e10"),
             ("momentum_limit", "horizons = 2, 4\nn_paths = 4\nsteps_per_horizon = 20"),
             # the initial width's square underflows or overflows
             ("mc_fp_xval", "omega = 1\nsigma = 1\nn_particles = 8\ninit_width_cells = 1e-170"),
@@ -479,10 +481,11 @@ dir = {tmp_path / "out"}
         assert capsys.readouterr().err == validated
         assert not (tmp_path / "out").exists()
 
-    def test_density_refused_at_run_time_leaves_no_artifact(self, tmp_path, capsys):
+    @pytest.mark.parametrize("width", [1e-150, 1e-155])  # 2 * (width * dx)**2 subnormal
+    def test_density_refused_at_run_time_leaves_no_artifact(self, tmp_path, capsys, width):
         # validate passes this width; its initial density is zero on every cell
         out = tmp_path / "out"
-        cfg = self._write(tmp_path, small_config("mc_fp_xval", out, init_width_cells=1e-150))
+        cfg = self._write(tmp_path, small_config("mc_fp_xval", out, init_width_cells=width))
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert err[0] == "configuration errors:"
@@ -542,17 +545,23 @@ dir = {tmp_path / "out"}
     @pytest.mark.parametrize(
         "scenario,params",
         [
-            ("track_particle", "omega = 1"),
-            ("track_ensemble", "omega = 1\nsigma = 0.1\nn_particles = 4"),
+            # ten steps of this dt end 5e-11 past t_final, within its whole-step tolerance
+            ("track_particle", "omega = 1\nt_final = 0.001\ndt = 1.00000005e-4"),
+            ("track_ensemble",
+             "omega = 1\nsigma = 0.1\nn_particles = 4\nt_final = 0.001\ndt = 1.00000005e-4"),
+            # exact derivatives that a central difference of v_r misjudges, by its
+            # truncation error and by its rounding error
+            ("track_particle", "omega = 1\nt_final = 3\nprofile = sine\nangular_freq = 100"),
+            ("track_particle", "omega = 1\nt_final = 3\nprofile = ramp\nlevel = 1e8\nrate = 1"),
         ],
+        ids=["track_particle", "track_ensemble", "sine-truncation", "ramp-rounding"],
     )
     def test_tracking_reference_spans_the_steps_the_run_takes(
         self, tmp_path, scenario, params
     ):
-        # ten steps of this dt end 5e-11 past t_final, within its whole-step tolerance
         text = (
             f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n{params}\n"
-            f"t_final = 0.001\ndt = 1.00000005e-4\n[output]\ndir = {tmp_path / 'out'}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
         )
         cfg = self._write(tmp_path, text)
         assert cli.main(["validate", cfg]) == cli.EXIT_OK

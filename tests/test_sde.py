@@ -52,15 +52,6 @@ class TestDriftSpec:
         with pytest.raises(InvalidInputError):
             DriftSpec.time_scaled(t_floor=0.0)
 
-    def test_tabulated_interpolates(self):
-        d = DriftSpec.tabulated([0.0, 1.0, 2.0], [0.0, -1.0, 0.0])
-        assert d(0.5, 0.0) == -0.5
-        assert d(1.5, 0.0) == -0.5
-
-    def test_tabulated_rejects_bad_grid(self):
-        with pytest.raises(InvalidInputError):
-            DriftSpec.tabulated([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-
 
 class TestDriftFromDensity:
     def test_uniform_density_gives_zero_drift(self):

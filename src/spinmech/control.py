@@ -39,9 +39,9 @@ class ReferenceTrajectory:
     """Reference velocity ``v_r(t)`` with its derivative on ``[0, duration]``.
 
     The constructor cross-checks the derivative against a central difference
-    of ``v_r`` (step ``1e-5 * duration``) on a probe grid and rejects an
-    inconsistent one.  The factories' derivatives are exact, and that
-    difference's own error could refuse them, so they skip the probe.
+    of ``v_r`` (step ``1e-5 * duration``) on a probe grid, allowing for that
+    difference's own truncation and rounding error, and rejects an
+    inconsistent one.  The factories' derivatives are exact; they skip it.
     """
 
     v_r: Callable[[float], float]
@@ -53,9 +53,13 @@ class ReferenceTrajectory:
         if h == 0.0:  # a subnormal duration
             raise InvalidInputError(f"duration {self.duration!r} has no difference step")
         for t in np.linspace(2 * h, self.duration - 2 * h, 33).tolist():  # no numpy warnings
-            fd = (self.v_r(t + h) - self.v_r(t - h)) / (2 * h)
+            hi, lo = self.v_r(t + h), self.v_r(t - h)
+            fd = (hi - lo) / (2 * h)
             stated = check_number(f"v_r_dot({t:g})", self.v_r_dot(t))
-            if not abs(fd - stated) <= DERIVATIVE_CONSISTENCY_TOL * (1.0 + abs(stated)):
+            allowed = (DERIVATIVE_CONSISTENCY_TOL * (1.0 + abs(stated))  # + truncation, rounding
+                       + abs((self.v_r(t + 2 * h) - self.v_r(t - 2 * h)) / (4 * h) - fd)
+                       + 2 * math.ulp(1.0) * (abs(hi) + abs(lo)) / (2 * h))
+            if not abs(fd - stated) <= allowed < math.inf:
                 raise InvalidInputError(
                     f"v_r_dot({t:g}) = {stated:g} disagrees with the central "
                     f"difference {fd:g} of v_r"

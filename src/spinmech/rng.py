@@ -3,17 +3,17 @@
 Every particle owns a Philox counter-based stream keyed by
 ``(seed, particle_index)``.  A particle's draws depend only on that key and
 on the draw position within the stream (initial-condition draws first, then
-one increment per step, none when ``sigma == 0``), so an ensemble split
-across any number of workers or chunk sizes reproduces the serial result bit
-for bit.  The integrator stores the increments step-major, one column per
-particle.
+one normal per step, none when ``sigma == 0``), so an ensemble split across
+any number of workers, chunk sizes or step blocks reproduces the serial
+result bit for bit.  The integrator draws in blocks of steps, step-major.
 
 Building a ``Generator`` costs far more than the few draws a particle makes,
-so each chunk of work builds one and re-keys it in place for every particle
-(``particle_stream(seed, i, gen)``).  Re-keying resets the whole Philox
-state -- counter, output buffer and cached 32-bit half -- to that of a fresh
-``Philox(key=(seed, i))``, so the draws are the same as from a newly built
-generator.
+so a chunk drawn in one block builds one and re-keys it for every particle
+(``particle_stream(seed, i, gen)``); a chunk drawn in several step blocks
+keeps one generator per particle alive between blocks.  Re-keying resets the
+whole Philox state -- counter, output buffer and cached 32-bit half -- to
+that of a fresh ``Philox(key=(seed, i))``, so the draws are the same as from
+a newly built generator.
 """
 
 from __future__ import annotations

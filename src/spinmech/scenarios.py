@@ -487,22 +487,20 @@ def _run_momentum_limit(cfg: ScenarioConfig):
     n_paths, n_steps = p["n_paths"], p["steps_per_horizon"]
     record_every = _auto_record(n_steps, 0, target=4000)
     tail_samples(n_steps // record_every + 1, p["tail_fraction"])  # refuse a short window now
-    sde_cfgs = [SdeConfig(
-        dt=(horizon - p["t0"]) / n_steps,
+    sde_cfg = SdeConfig(
+        dt=tuple((horizon - p["t0"]) / n_steps for horizon in p["horizons"]),
         n_steps=n_steps,
         sigma=p["sigma"],
-        n_particles=n_paths,
+        n_particles=n_paths * len(p["horizons"]),
         seed=cfg.seed,
         x0=p["x0"],
         t0=p["t0"],
         record_every=record_every,
-    ) for horizon in p["horizons"]]
+    )
     def run(out: Path, n_workers: int):
-        estimates = []
-        for sde_cfg in sde_cfgs:
-            batch = simulate_ensemble(drift, sde_cfg, n_workers)
-            estimates.append(momentum_estimate(batch.times, batch.paths, p["tail_fraction"],
-                                               p["variance_threshold"]))
+        batch = simulate_ensemble(drift, sde_cfg, n_workers)  # a block of rows per horizon
+        estimates = [momentum_estimate(t, x, p["tail_fraction"], p["variance_threshold"])
+                     for t, x in zip(batch.times, np.split(batch.paths, len(batch.times)))]
         momentum_header = ["horizon", "path", "p_hat", "window_variance", "converged"]
         io.write_csv(out / "momentum.csv", momentum_header, [
             np.repeat(p["horizons"], n_paths),

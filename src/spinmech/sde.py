@@ -5,7 +5,8 @@ noise increment discretized as ``sigma * sqrt(dt) * z``, ``z`` standard
 normal.  ``_em_update`` is that update, for both :func:`euler_maruyama_step`
 and :func:`simulate_ensemble`.  Each particle consumes its own counter-based
 stream (see :mod:`spinmech.rng`), so ensembles are bit-reproducible for a
-fixed seed no matter how the particles are partitioned across workers.
+fixed seed no matter how the particles are partitioned across workers, and a
+tuple ``dt`` steps the same particles with each of its step sizes from one draw.
 
 Drift variants:
 
@@ -13,7 +14,7 @@ Drift variants:
   Ornstein-Uhlenbeck process once noise is added).
 * :func:`drift_from_density` -- ``0.5 * sigma**2 * (log rho0)'``, the drift
   that makes a given positive density stationary.
-* ``DriftSpec.time_scaled(t_floor)`` -- ``x / max(t, t_floor)``, the
+* ``DriftSpec.time_scaled(t_floor)`` -- ``x / np.maximum(t, t_floor)``, the
   long-time ballistic drift whose paths have a limiting velocity ``x_t/t``.
 """
 
@@ -41,6 +42,9 @@ OVERFLOW_LIMIT = 1e12
 #: Target byte budget for one chunk's noise buffer.
 _CHUNK_NOISE_BYTES = 64 * 1024 * 1024
 
+#: Streams whose normals are drawn into contiguous rows before one transpose.
+_TILE = 16
+
 
 @dataclass(frozen=True)
 class DriftSpec:
@@ -66,9 +70,9 @@ class DriftSpec:
 
     @staticmethod
     def time_scaled(t_floor: float = 1e-3) -> "DriftSpec":
-        """Drift ``b(x, t) = x / max(t, t_floor)``, finite for all t >= 0."""
+        """Drift ``b(x, t) = x / np.maximum(t, t_floor)``, finite for all t >= 0."""
         check_number("t_floor", t_floor, positive=True)
-        return DriftSpec(lambda x, t: x / max(t, t_floor))
+        return DriftSpec(lambda x, t: x / np.maximum(t, t_floor))
 
 
 def drift_from_density(
@@ -98,19 +102,18 @@ def drift_from_density(
 class SdeConfig:
     """Numerical parameters of one ensemble integration.
 
-    ``x0`` is either a scalar start position or a callable
+    ``dt`` is a step size or a tuple of ``G`` that divides ``n_particles``:
+    row ``g * n + i`` (``n = n_particles // G``) is path ``i`` of a
+    one-step-size run, stepped with ``dt[g]``.  ``x0`` is a scalar or a
     ``sampler(generator) -> float`` drawn once per particle from that
-    particle's own stream (before any step noise), which keeps sampled
-    initial conditions inside the reproducibility contract.  The generator
-    is valid only during that call: the integrator re-keys the same object
-    for the next particle, so a sampler must not keep it.  Each particle
-    then draws its ``n_steps`` increments, which land in a step-major
-    ``(n_steps, particles)`` buffer; with ``sigma == 0`` none are drawn, and
-    with a scalar ``x0`` as well no stream is set up at all.
+    particle's own stream before any step noise, so sampled initial
+    conditions stay reproducible; the generator is valid only during that
+    call.  Each particle then draws ``n_steps`` normals, none with
+    ``sigma == 0``; with a scalar ``x0`` as well no stream is set up at all.
     ``record_every`` thins the stored samples; it must divide ``n_steps``.
     """
 
-    dt: float
+    dt: Union[float, tuple[float, ...]]
     n_steps: int
     sigma: float
     n_particles: int
@@ -120,10 +123,14 @@ class SdeConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        check_number("dt", self.dt, positive=True)
+        for dt in self.step_sizes:
+            check_number("dt", dt, positive=True)
         check_int("n_steps", self.n_steps, 1)
         check_number("sigma", self.sigma, 0.0)
         check_int("n_particles", self.n_particles, 1)
+        if not self.step_sizes or self.n_particles % len(self.step_sizes):
+            raise InvalidInputError(f"dt must hold a number of step sizes that divides "
+                                    f"n_particles={self.n_particles}, got {self.dt!r}")
         check_int("seed", self.seed)
         check_number("t_final = t0 + n_steps * dt", self.t_final)  # t0 finite too
         if not callable(self.x0):
@@ -135,27 +142,31 @@ class SdeConfig:
             )
 
     @property
+    def step_sizes(self) -> tuple:
+        """``dt`` as a tuple: the step size of each of the ``G`` groups."""
+        return self.dt if isinstance(self.dt, tuple) else (self.dt,)
+
+    @property
     def t_final(self) -> float:
-        return self.t0 + self.n_steps * self.dt
+        """The end of the run; of its longest step size for a tuple ``dt``."""
+        return self.t0 + self.n_steps * max(self.step_sizes)
 
     def recorded_times(self) -> np.ndarray:
+        """The recorded times; ``(G, n_rec)``, one row per step size, for a tuple ``dt``."""
         ks = np.arange(0, self.n_steps + 1, self.record_every)
-        return self.t0 + ks * self.dt
+        return self.t0 + ks * np.asarray(self.dt, dtype=float)[..., None]
 
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """Recorded positions of an ensemble, one row per particle."""
+    """Recorded positions, one row per particle; ``(G, n_rec)`` times for ``G`` step sizes."""
 
     times: np.ndarray
     paths: np.ndarray
 
     def __post_init__(self):
-        if self.paths.ndim != 2 or self.paths.shape[1] != self.times.size:
-            raise InvalidInputError(
-                f"paths shape {self.paths.shape} inconsistent with "
-                f"{self.times.size} recorded times"
-            )
+        if self.paths.ndim != 2 or self.paths.shape[1:] != self.times.shape[-1:]:
+            raise InvalidInputError(f"paths {self.paths.shape} don't fit times {self.times.shape}")
         if not np.all(np.diff(self.times) > 0):
             raise InvalidInputError("recorded times must be strictly increasing")
 
@@ -188,37 +199,56 @@ def euler_maruyama_step(x, drift: DriftSpec, t: float, dt: float, dw):
     return float(out) if out.ndim == 0 else out
 
 
-def _run_range(drift, cfg, lo, hi, paths):
-    """Simulate particles [lo, hi): set up their streams, then step.
+def _streams(cfg, lo, m, x, rekey):
+    """Streams ``lo .. lo + m - 1`` after their ``x0`` draws; one re-keyed object if ``rekey``."""
+    gen = None
+    for i in range(m):
+        gen = particle_stream(cfg.seed, lo + i, gen if rekey else None)
+        if callable(cfg.x0):
+            x[:, i] = cfg.x0(gen)
+        yield gen
 
-    One generator, re-keyed for each particle, draws its initial condition
-    and then its scaled increments into column ``i`` of a step-major buffer.
+
+def _run_range(drift, cfg, lo, hi, paths):
+    """Simulate streams [lo, hi) of every step-size group: draw, then step.
+
+    The ``G`` groups share each stream's ``x0`` and normals, drawn in ``G``
+    step blocks, ``_TILE`` streams at a time into contiguous rows that one
+    transpose makes step-major; group ``g`` scales them by ``sigma * sqrt(dt[g])``.
     """
-    m = hi - lo
-    sampled = callable(cfg.x0)
-    x = np.empty(m) if sampled else np.full(m, cfg.x0, dtype=float)
-    sdt = cfg.sigma * math.sqrt(cfg.dt)
-    noise = np.zeros((cfg.n_steps, m))
-    if sampled or sdt != 0.0:
-        gen = None
-        for i in range(m):
-            gen = particle_stream(cfg.seed, lo + i, gen)
-            if sampled:
-                x[i] = cfg.x0(gen)
-            if sdt != 0.0:
-                noise[:, i] = sdt * gen.standard_normal(cfg.n_steps)
-    paths[lo:hi, 0] = x
-    with np.errstate(over="ignore", invalid="ignore"):  # the bound check raises instead
-        for k in range(cfg.n_steps):
-            x = _em_update(x, drift, cfg.t0 + k * cfg.dt, cfg.dt, noise[k])
-            if not np.abs(x).max() <= OVERFLOW_LIMIT:  # a NaN max fails too
-                idx = int(np.argmax(~(np.abs(x) <= OVERFLOW_LIMIT)))
-                raise NumericalOverflowError(
-                    f"particle {lo + idx} overflowed at step {k + 1} "
-                    f"(x={x[idx]!r}, |x| bound {OVERFLOW_LIMIT:g})"
-                )
-            if (k + 1) % cfg.record_every == 0:
-                paths[lo:hi, (k + 1) // cfg.record_every] = x
+    G, m = len(cfg.step_sizes), hi - lo
+    dt = cfg.step_sizes[0] if G == 1 else np.array(cfg.step_sizes, dtype=float)[:, None]
+    with np.errstate(over="ignore"):  # an infinite scale fails the first step's bound check
+        sdt = cfg.sigma * np.sqrt(dt)
+    draw, sampled = bool(np.any(sdt != 0.0)), callable(cfg.x0)
+    signed_zero = draw and not np.all(sdt != 0.0)
+    x = x_start = np.empty((G, m)) if sampled else np.full((G, m), cfg.x0, dtype=float)
+    streams = _streams(cfg, lo, m, x, rekey=G == 1) if sampled or draw else ()
+    streams = list(streams) if G > 1 or not draw else streams  # else drawn as set up
+    block = -(-cfg.n_steps // G)
+    raw, tile = np.empty((block, m)), np.empty((min(_TILE, m), block))
+    rows = paths.reshape(G, -1, paths.shape[1])[:, lo:hi]  # group g's rows of streams lo..hi
+    for k0 in range(0, cfg.n_steps, block):
+        nb, gens = min(block, cfg.n_steps - k0), iter(streams)
+        for a in range(0, m if draw else 0, _TILE):
+            tiled = tile[:min(_TILE, m - a), :nb]
+            for row, gen in zip(tiled, gens):
+                gen.standard_normal(nb, out=row)
+            raw[:nb, a:a + len(tiled)] = tiled.T
+        with np.errstate(over="ignore", invalid="ignore"):  # the bound check raises instead
+            for k in range(k0, k0 + nb):
+                dw = sdt * raw[k - k0] if draw else 0.0
+                if signed_zero:
+                    dw += 0.0  # a zero scale adds +0.0, as an undrawn step does
+                x = _em_update(x, drift, cfg.t0 + k * dt, dt, dw)
+                if not np.abs(x).max() <= OVERFLOW_LIMIT:  # a NaN max fails too
+                    g, i = divmod(int(np.argmax(~(np.abs(x) <= OVERFLOW_LIMIT))), m)
+                    raise NumericalOverflowError(
+                        f"particle {g * (paths.shape[0] // G) + lo + i} overflowed at step "
+                        f"{k + 1} (x={x[g, i]!r}, |x| bound {OVERFLOW_LIMIT:g})")
+                if (k + 1) % cfg.record_every == 0:
+                    rows[:, :, (k + 1) // cfg.record_every] = x
+    rows[:, :, 0] = x_start  # complete once the first block has drawn every x0
 
 
 def simulate_ensemble(
@@ -228,19 +258,17 @@ def simulate_ensemble(
 
     Results are identical for any ``n_workers`` because every particle's
     noise comes from its own ``(seed, particle)`` stream and the update is
-    elementwise.  Chunks run on a thread pool only with ``n_workers > 1``
-    and more than one chunk; otherwise they run on the calling thread, so a
-    serial run starts no pool and a per-thread profiler sees all its work.
+    elementwise.  Chunks (of streams, with every step size) run on a thread
+    pool only with ``n_workers > 1`` and more than one chunk; otherwise they
+    run on the calling thread, so a serial run starts no pool and a
+    per-thread profiler sees all its work.
     """
     check_int("n_workers", n_workers, 1)
     times = cfg.recorded_times()
-    paths = np.empty((cfg.n_particles, times.size))
-    chunk = int(_CHUNK_NOISE_BYTES // (8 * cfg.n_steps))
-    chunk = max(256, min(chunk, 16384, cfg.n_particles))
-    ranges = [
-        (lo, min(lo + chunk, cfg.n_particles))
-        for lo in range(0, cfg.n_particles, chunk)
-    ]
+    paths = np.empty((cfg.n_particles, times.shape[-1]))
+    n = cfg.n_particles // len(cfg.step_sizes)
+    chunk = max(256, min(int(_CHUNK_NOISE_BYTES // (8 * cfg.n_steps)), 16384, n))
+    ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if n_workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(lambda r: _run_range(drift, cfg, *r, paths), ranges))

@@ -35,6 +35,23 @@ class TestReferenceTrajectory:
     def test_consistent_pair_accepted(self):
         ReferenceTrajectory(math.sin, math.cos, duration=5.0)
 
+    @pytest.mark.parametrize("v_r, v_r_dot", [
+        (lambda t: 1e8 + t, lambda t: 1.0),  # the difference's rounding error dominates
+        (lambda t: math.sin(100 * t), lambda t: 100 * math.cos(100 * t)),  # its truncation
+    ], ids=["offset", "fast-sine"])
+    def test_exact_derivative_accepted_beyond_the_difference_error(self, v_r, v_r_dot):
+        ReferenceTrajectory(v_r, v_r_dot, duration=3.0)
+
+    @pytest.mark.parametrize("v_r, v_r_dot", [
+        (math.sin, lambda t: 1.001 * math.cos(t)),
+        (math.sin, lambda t: math.cos(t) + 1e-4),
+        (lambda t: 1001 * math.sin(t), lambda t: 1000 * math.cos(t)),
+        (lambda t: 1e308 * (1.0 + t), lambda t: 0.0),  # the difference overflows
+    ], ids=["scaled", "offset", "amplitude", "overflow"])
+    def test_near_miss_derivative_rejected(self, v_r, v_r_dot):
+        with pytest.raises(InvalidInputError, match="disagrees"):
+            ReferenceTrajectory(v_r, v_r_dot, duration=3.0)
+
     def test_inconsistent_derivative_rejected(self):
         with pytest.raises(InvalidInputError, match="disagrees"):
             ReferenceTrajectory(math.sin, lambda t: -math.cos(t), duration=5.0)

@@ -39,6 +39,18 @@ PARTIAL_USE = {
 
 
 class TestParticleStream:
+    @pytest.mark.parametrize("x0_draw", [None, lambda g: 2.0 * g.standard_normal() + g.random()])
+    def test_block_draws_equal_one_long_draw(self, x0_draw):
+        # The integrator draws a stream's step normals in blocks into out= slices.
+        whole, blocked = particle_stream(5, 17), particle_stream(5, 17)
+        if x0_draw is not None:
+            assert x0_draw(whole) == x0_draw(blocked)
+        expected = whole.standard_normal(1001)
+        got = np.empty(1001)
+        for a, b in [(0, 334), (334, 668), (668, 1001)]:
+            blocked.standard_normal(b - a, out=got[a:b])
+        assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("seed, index", KEYS)
     def test_new_stream_matches_fresh_philox(self, seed, index):
         assert_same_draws(particle_stream(seed, index), fresh(seed, index))

@@ -32,6 +32,11 @@ def _at(index, value):
     return lambda x, t: np.where(np.arange(x.size) == index, value, -x)
 
 
+def _same_bits(a, b):
+    """Equal values and equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def _blow_up_in_last_chunk(x, t):
     """Pushes particle 7 of the 88-particle third chunk (of 600) past the bound."""
     return np.where(np.arange(x.size) == 7, 3e12, 0.0) if x.size == 88 else -x
@@ -158,6 +163,22 @@ class TestSdeConfig:
         cfg = ou_cfg(n_steps=10, record_every=5, t0=1.0, dt=0.1)
         assert np.allclose(cfg.recorded_times(), [1.0, 1.5, 2.0])
 
+    @pytest.mark.parametrize("dt", [(), (0.1, 0.0), (0.1, -0.2), (math.nan, 0.1)])
+    def test_refuses_a_bad_step_size_tuple(self, dt):
+        with pytest.raises(InvalidInputError, match="^dt must"):
+            ou_cfg(dt=dt)
+
+    def test_step_sizes_must_divide_the_particles(self):
+        with pytest.raises(InvalidInputError, match="divides n_particles=200"):
+            ou_cfg(dt=(0.1, 0.2, 0.3))
+
+    def test_recorded_times_of_a_tuple_are_one_row_per_step_size(self):
+        cfg = ou_cfg(n_steps=10, record_every=5, t0=1.0, dt=(0.1, 0.3))
+        assert np.array_equal(cfg.recorded_times(), [
+            ou_cfg(n_steps=10, record_every=5, t0=1.0, dt=d).recorded_times() for d in (0.1, 0.3)
+        ])
+        assert cfg.t_final == 1.0 + 10 * 0.3
+
     @pytest.mark.parametrize("field", ["dt", "sigma", "t0", "x0"])
     def test_nan_is_rejected(self, field):
         with pytest.raises(InvalidInputError, match=field):
@@ -256,6 +277,52 @@ class TestSimulateEnsemble:
             x = x + (-1.3 * x) * cfg.dt + noise[k]
             expected.append(x)
         assert np.array_equal(batch.paths, np.array(expected).T)
+
+    @pytest.mark.parametrize("n_paths, n_steps", [(40, 30), (600, 90)], ids=["one-chunk", "3-chunks"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("sigma", [1.0, 0.0])
+    @pytest.mark.parametrize("x0", [1.0, lambda gen: 1.0 + gen.standard_normal()],
+                             ids=["scalar", "sampled"])
+    def test_stacked_step_sizes_equal_separate_runs(
+        self, monkeypatch, x0, sigma, n_workers, n_paths, n_steps
+    ):
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-particle chunks
+        dts = (0.01, 0.1, 1.0)  # 3 step blocks
+        drift = DriftSpec.time_scaled()
+        base = dict(n_steps=n_steps, sigma=sigma, seed=4, x0=x0, t0=1.0, record_every=3)
+        stacked = simulate_ensemble(
+            drift, SdeConfig(dt=dts, n_particles=3 * n_paths, **base), n_workers
+        )
+        assert stacked.times.shape == (3, n_steps // 3 + 1)
+        for g, dt in enumerate(dts):
+            one = simulate_ensemble(drift, SdeConfig(dt=dt, n_particles=n_paths, **base), n_workers)
+            assert _same_bits(stacked.paths[g * n_paths:(g + 1) * n_paths], one.paths)
+            assert np.array_equal(stacked.times[g], one.times)
+
+    def test_zero_scaled_step_size_adds_positive_zero(self):
+        # sigma * sqrt(0.25) underflows to 0 while sigma * sqrt(4.0) does not:
+        # that group must step as an undrawn run does, adding +0.0 rather than 0.0 * z.
+        drift = DriftSpec(lambda x, t: x)  # keeps x = -0.0 at -0.0 before the noise
+        base = dict(n_steps=4, sigma=5e-324, seed=2, x0=-0.0)
+        stacked = simulate_ensemble(drift, SdeConfig(dt=(4.0, 0.25), n_particles=40, **base))
+        quiet = simulate_ensemble(drift, SdeConfig(dt=0.25, n_particles=20, **base))
+        assert not np.signbit(quiet.paths[:, 1:]).any()
+        assert _same_bits(stacked.paths[20:], quiet.paths)
+
+    @pytest.mark.parametrize("dt", [9e268, (9e268, 1e269)])
+    def test_an_infinite_noise_scale_fails_the_bound_check(self, dt):
+        # sigma * sqrt(dt) overflows to inf without a numpy warning; the first step reports it
+        cfg = SdeConfig(dt=dt, n_steps=2, sigma=1e270, n_particles=2, seed=1, x0=1.0)
+        with pytest.raises(NumericalOverflowError, match="^particle 0 overflowed at step 1 "):
+            simulate_ensemble(DriftSpec.linear(1.0), cfg)
+
+    def test_stacked_overflow_reports_the_stacked_row(self):
+        cfg = SdeConfig(dt=(0.5, 2.0), n_steps=60, sigma=0.0, n_particles=8, seed=1, x0=1.0)
+        with pytest.raises(NumericalOverflowError) as err:  # 81**7 > 1e12 in rows 4-7
+            simulate_ensemble(DriftSpec.linear(-40.0), cfg)
+        assert str(err.value) == (
+            "particle 4 overflowed at step 7 (x=np.float64(22876792454961.0), |x| bound 1e+12)"
+        )
 
     def test_no_stream_when_nothing_is_drawn(self, monkeypatch):
         def no_stream(*args):

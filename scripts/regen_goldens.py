@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Write or check the golden sha256 digests of every scenario artifact.
+"""Write or check the sha256 digests of every scenario artifact.
 
 Usage:
-    PYTHONPATH=src python scripts/regen_goldens.py [--check]
+    PYTHONPATH=src python scripts/regen_goldens.py [--full] [--check]
 
 Each canned config in ``configs/`` runs at the reduced sizes in ``REDUCED``
 (a few seconds in total), on one thread by default, with the relative output dir
@@ -12,6 +12,11 @@ dir makes them hash the same wherever the run happens.  The digests land
 in ``tests/data/golden_digests.txt`` as ``<sha256>  <scenario>/<file>``
 lines; ``--check`` compares against that file instead of writing it and
 exits 1 on any difference.  ``tests/test_goldens.py`` runs the same check.
+
+``--full`` runs the canned configs as committed instead, with output dir
+``canned/<scenario>``, once on one worker and once on two; the two runs must
+give the same digests, which go to ``tests/data/canned_digests.txt``.  It
+takes about 15 s, so the test suite does not run it.
 """
 
 import argparse
@@ -27,6 +32,7 @@ from spinmech.scenarios import parse_config, run_scenario
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 GOLDEN_FILE = ROOT / "tests" / "data" / "golden_digests.txt"
+CANNED_FILE = ROOT / "tests" / "data" / "canned_digests.txt"
 
 #: Parameter overrides that shrink each canned config to a quick run.
 REDUCED = {
@@ -41,11 +47,12 @@ REDUCED = {
 }
 
 
-def digest_lines(work_dir, n_workers: int = 1) -> list[str]:
-    """Run every reduced scenario under ``work_dir``; one digest line per artifact.
+def digest_lines(work_dir, n_workers: int = 1, full: bool = False) -> list[str]:
+    """Run every scenario under ``work_dir``; one digest line per artifact.
 
-    The digests do not depend on ``n_workers`` or on how ensembles are split
-    into chunks; ``tests/test_goldens.py`` checks that.
+    The runs are reduced unless ``full``.  The digests do not depend on
+    ``n_workers`` or on how ensembles are split into chunks;
+    ``tests/test_goldens.py`` checks that.
     """
     lines = []
     here = os.getcwd()
@@ -55,8 +62,8 @@ def digest_lines(work_dir, n_workers: int = 1) -> list[str]:
             cfg = parse_config(path.read_text())
             cfg = replace(
                 cfg,
-                parameters={**cfg.parameters, **REDUCED[cfg.scenario]},
-                output_dir=f"golden/{cfg.scenario}",
+                parameters={**cfg.parameters, **({} if full else REDUCED[cfg.scenario])},
+                output_dir=f"{'canned' if full else 'golden'}/{cfg.scenario}",
             )
             summary = run_scenario(cfg, n_workers=n_workers)
             for name in sorted(summary.artifacts):
@@ -73,18 +80,26 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true",
                         help="compare with the committed digests instead of writing")
+    parser.add_argument("--full", action="store_true",
+                        help="run the canned configs at full size, on 1 and 2 workers")
     args = parser.parse_args()
+    target = CANNED_FILE if args.full else GOLDEN_FILE
     with tempfile.TemporaryDirectory() as work:
-        lines = digest_lines(work)
+        lines = digest_lines(work, full=args.full)
+    if args.full:
+        with tempfile.TemporaryDirectory() as work:
+            if digest_lines(work, n_workers=2, full=True) != lines:
+                print("digests differ between 1 and 2 workers", file=sys.stderr)
+                return 1
     text = "\n".join(lines) + "\n"
     if not args.check:
-        GOLDEN_FILE.write_text(text)
-        print(f"wrote {len(lines)} digests to {GOLDEN_FILE}")
+        target.write_text(text)
+        print(f"wrote {len(lines)} digests to {target}")
         return 0
-    if GOLDEN_FILE.read_text() == text:
-        print(f"{len(lines)} digests match {GOLDEN_FILE}")
+    if target.read_text() == text:
+        print(f"{len(lines)} digests match {target}")
         return 0
-    print(f"digests differ from {GOLDEN_FILE}", file=sys.stderr)
+    print(f"digests differ from {target}", file=sys.stderr)
     return 1
 
 

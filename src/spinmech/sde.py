@@ -39,7 +39,7 @@ from .rng import particle_stream
 #: Paths whose |x| crosses this bound abort with an overflow error.
 OVERFLOW_LIMIT = 1e12
 
-#: Target byte budget for one chunk's noise buffer.
+#: Bound on the bytes of one chunk's noise block, unless one stream's full row exceeds it.
 _CHUNK_NOISE_BYTES = 64 * 1024 * 1024
 
 #: Streams whose normals are drawn into contiguous rows before one transpose.
@@ -209,12 +209,13 @@ def _streams(cfg, lo, m, x, rekey):
         yield gen
 
 
-def _run_range(drift, cfg, lo, hi, paths):
+def _run_range(drift, cfg, lo, hi, paths, fit):
     """Simulate streams [lo, hi) of every step-size group: draw, then step.
 
-    The ``G`` groups share each stream's ``x0`` and normals, drawn in ``G``
-    step blocks, ``_TILE`` streams at a time into contiguous rows that one
-    transpose makes step-major; group ``g`` scales them by ``sigma * sqrt(dt[g])``.
+    The ``G`` groups share each stream's ``x0`` and normals, drawn in
+    ``max(G, ceil(m / fit))`` step blocks (one re-keys a generator per stream;
+    several keep the streams alive), ``_TILE`` streams at a time into contiguous
+    rows that one transpose makes step-major; group ``g`` scales them by ``sigma * sqrt(dt[g])``.
     """
     G, m = len(cfg.step_sizes), hi - lo
     dt = cfg.step_sizes[0] if G == 1 else np.array(cfg.step_sizes, dtype=float)[:, None]
@@ -223,9 +224,9 @@ def _run_range(drift, cfg, lo, hi, paths):
     draw, sampled = bool(np.any(sdt != 0.0)), callable(cfg.x0)
     signed_zero = draw and not np.all(sdt != 0.0)
     x = x_start = np.empty((G, m)) if sampled else np.full((G, m), cfg.x0, dtype=float)
-    streams = _streams(cfg, lo, m, x, rekey=G == 1) if sampled or draw else ()
-    streams = list(streams) if G > 1 or not draw else streams  # else drawn as set up
-    block = -(-cfg.n_steps // G)
+    block = -(-cfg.n_steps // max(G, -(-m // fit)))
+    streams = _streams(cfg, lo, m, x, rekey=block == cfg.n_steps) if sampled or draw else ()
+    streams = streams if block == cfg.n_steps and draw else list(streams)  # else drawn as set up
     raw, tile = np.empty((block, m)), np.empty((min(_TILE, m), block))
     rows = paths.reshape(G, -1, paths.shape[1])[:, lo:hi]  # group g's rows of streams lo..hi
     for k0 in range(0, cfg.n_steps, block):
@@ -258,23 +259,25 @@ def simulate_ensemble(
 
     Results are identical for any ``n_workers`` because every particle's
     noise comes from its own ``(seed, particle)`` stream and the update is
-    elementwise.  Chunks (of streams, with every step size) run on a thread
-    pool only with ``n_workers > 1`` and more than one chunk; otherwise they
-    run on the calling thread, so a serial run starts no pool and a
-    per-thread profiler sees all its work.
+    elementwise.  A chunk, with every step size, holds the streams whose
+    full-length noise fits ``_CHUNK_NOISE_BYTES``, at least 256 and at most
+    16384.  Chunks run on a thread pool only with ``n_workers > 1`` and more
+    than one chunk; otherwise they run on the calling thread, so a serial run
+    starts no pool and a per-thread profiler sees all its work.
     """
     check_int("n_workers", n_workers, 1)
     times = cfg.recorded_times()
     paths = np.empty((cfg.n_particles, times.shape[-1]))
     n = cfg.n_particles // len(cfg.step_sizes)
-    chunk = max(256, min(int(_CHUNK_NOISE_BYTES // (8 * cfg.n_steps)), 16384, n))
+    fit = max(1, _CHUNK_NOISE_BYTES // (8 * cfg.n_steps))  # full-length streams in the budget
+    chunk = max(256, min(fit, 16384, n))
     ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if n_workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda r: _run_range(drift, cfg, *r, paths), ranges))
+            list(pool.map(lambda r: _run_range(drift, cfg, *r, paths, fit), ranges))
     else:
         for lo, hi in ranges:
-            _run_range(drift, cfg, lo, hi, paths)
+            _run_range(drift, cfg, lo, hi, paths, fit)
     return TrajectoryBatch(times=times, paths=paths)
 
 

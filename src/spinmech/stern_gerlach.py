@@ -214,10 +214,14 @@ def count_plate_modes(z_values) -> int:
     z = np.asarray(z_values, dtype=float)
     if z.size == 0:
         raise InvalidInputError("no plate positions to histogram")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        edges = np.linspace(z.min(), z.max(), PLATE_BINS + 1)  # the bins np.histogram makes
+    if not np.all(np.isfinite(edges)):
+        raise InvalidInputError("plate positions must be finite and span a finite range")
+    if not np.all(edges[:-1] < edges[1:]):
+        return 1  # too narrow to split: one mode, as for the zero span np.histogram widens
     counts, _ = np.histogram(z, bins=PLATE_BINS)
     smooth = np.convolve(counts, np.array([1.0, 2.0, 1.0]) / 4.0, mode="same")
-    if smooth.max() == 0.0:
-        return 0
     return _count_prominent_peaks(
         [0.0, *smooth.tolist(), 0.0], PLATE_PROMINENCE * smooth.max()
     )

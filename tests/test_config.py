@@ -140,6 +140,14 @@ bogus = 1
         msgs = errors_of("omega = 1\n" + MINIMAL_OU)
         assert any("outside any section" in m for m in msgs)
 
+    def test_unknown_section_is_named(self):
+        msgs = errors_of(MINIMAL_OU + "[bogus]\n")
+        assert any("unknown section [bogus]; expected one of [scenario]" in m for m in msgs)
+
+    def test_empty_key(self):
+        msgs = errors_of(MINIMAL_OU.replace("omega = 1.0", "omega = 1.0\n= 3"))
+        assert any(m.endswith(": empty key") and m.startswith("line ") for m in msgs)
+
     def test_non_integer_particle_count_rejected(self):
         msgs = errors_of(MINIMAL_OU.replace("n_particles = 1000", "n_particles = 10.5"))
         assert any("expected an integer" in m for m in msgs)

@@ -16,6 +16,7 @@ from spinmech.fokker_planck import (
     DensityField,
     Grid1D,
     _drift_weight,
+    _face_flux,
     fp_solve,
     fp_step,
     histogram_density,
@@ -221,6 +222,22 @@ class TestFpStep:
         dt = stable_dt(drift, 0.8, g)
         _, snaps = fp_solve(f, drift, 0.8, 0.5, dt)
         assert np.min(snaps[-1].values) >= 0.0
+
+    def test_rounding_level_negatives_are_clipped(self):
+        # A spike under a fixed leftward face drift, stepped between the positivity
+        # bound (about 0.125) and the advective bound (0.25): the conservative
+        # update leaves a rounding-level negative, which the step clips to zero.
+        g = Grid1D(-2.0, 2.0, 16)
+        f = DensityField(g, np.where(np.arange(16) == 7, 4.0, 0.0))
+        drift = DriftSpec(lambda x, t: np.full_like(x, -1.0))
+        raw = f.values.copy()
+        moved = 0.2 / g.dx * _face_flux(np.full(15, -1.0), 0.02, g.dx)(raw)
+        raw[:-1] -= moved
+        raw[1:] += moved
+        assert -1e-15 < raw.min() < 0.0
+        out = fp_step(f, drift, 0.02, 0.0, 0.2)
+        assert out.values.min() == 0.0
+        assert np.array_equal(out.values, np.maximum(raw, 0.0))
 
     def test_nan_density_raised_by_step(self):
         # a NaN drift passes both step bounds; the negative-density guard must catch it

@@ -4,7 +4,7 @@
 ``scripts/regen_goldens.py`` produces; a change that moves any byte fails
 here until the file is regenerated and the change is explained.  The same
 digests must come out of a serial run with the default chunks and of a
-two-thread run with 256-particle chunks.
+two-thread run with 256-particle chunks drawn in many step blocks.
 """
 
 import importlib.util
@@ -26,7 +26,7 @@ def _load_script():
 
 @pytest.mark.parametrize("n_workers, chunk_bytes", [
     (1, sde._CHUNK_NOISE_BYTES),
-    (2, 0),  # 256-particle chunks: mc_fp_xval and track_ensemble span several
+    (2, 0),  # 256-particle chunks of many step blocks: mc_fp_xval and track_ensemble span several
 ], ids=["serial", "threaded-small-chunks"])
 def test_artifact_digests_match_goldens(tmp_path, monkeypatch, n_workers, chunk_bytes):
     monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", chunk_bytes)

@@ -265,6 +265,24 @@ class TestCli:
         assert cli.main(["run", "/nonexistent/path.cfg"]) == cli.EXIT_IO
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_output_dir_that_is_a_file_exit_4(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = self._write(tmp_path, SMALL_SG.format(out="sg").replace("n = 4000", "n = 50"))
+        assert cli.main(["run", cfg, "--out", str(taken)]) == cli.EXIT_IO
+        assert "I/O failure: [Errno 17] File exists" in capsys.readouterr().err
+
+    def test_narrow_beam_is_one_plate_mode(self, tmp_path, capsys):
+        # every plate hit lies within a few ulps of -1.5: too narrow for the histogram's bins
+        text = SMALL_SG.format(out=tmp_path / "out")
+        for old, new in [("alpha_re = 0.6", "alpha_re = 1"), ("beta_re = 0.8", "beta_re = 0"),
+                         ("n = 4000", "n = 2000"), ("sigma_z = 0.2", "sigma_z = 1e-16")]:
+            text = text.replace(old, new)
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["validate", cfg]) == cli.EXIT_OK
+        assert cli.main(["run", cfg]) == cli.EXIT_OK
+        assert "  n_modes = 1\n" in capsys.readouterr().out
+
     def test_numeric_failure_exit_3(self, tmp_path, capsys):
         # dt far beyond the explicit-Euler stability limit blows the plant up
         text = f"""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,12 +237,31 @@ class TestSimulateEnsemble:
         assert np.array_equal(b1.paths, b2.paths)
         assert np.array_equal(b1.times, b2.times)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # three 256-particle chunks
+    @pytest.mark.parametrize("fit", [0, 256], ids=["many-blocks", "one-block"])
+    def test_worker_count_does_not_change_results(self, monkeypatch, fit):
         cfg = ou_cfg(n_particles=700)
+        # three chunks of at most 256 streams, each drawn in many step blocks or in one
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * fit)
         serial = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers=1)
         threaded = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers=4)
         assert np.array_equal(serial.paths, threaded.paths)
+
+    def test_noise_stays_within_the_budget(self, monkeypatch):
+        # The 256-stream chunk floor holds about 3x the 83 full-length streams
+        # that the budget fits, so the chunk draws in 4 blocks of 25 000 steps.
+        cfg = SdeConfig(dt=1e-3, n_steps=100_000, sigma=1.0, n_particles=256, seed=1,
+                        x0=1.0, record_every=10_000)
+        tracemalloc.start()
+        try:
+            batch = simulate_ensemble(DriftSpec.linear(1.0), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tile = 8 * sde._TILE * cfg.n_steps // 4
+        assert peak < sde._CHUNK_NOISE_BYTES + batch.paths.nbytes + tile
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * cfg.n_particles)
+        one_block = simulate_ensemble(DriftSpec.linear(1.0), cfg)
+        assert np.array_equal(batch.paths, one_block.paths)
 
     @pytest.mark.parametrize("n_workers", [0, -3, 1.5, math.nan, True])
     def test_refuses_a_worker_count_below_one(self, n_workers):
@@ -255,14 +275,16 @@ class TestSimulateEnsemble:
         assert np.array_equal(b1.paths, b2.paths)
         assert b1.paths[:, 0].std() > 0.5  # the sampler actually ran
 
+    @pytest.mark.parametrize("fit", [0, 256], ids=["many-blocks", "one-block"])
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_equals_fresh_per_particle_streams(self, monkeypatch, n_workers):
+    def test_equals_fresh_per_particle_streams(self, monkeypatch, n_workers, fit):
         # Oracle: a newly built Philox generator per particle, sampler first.
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-particle chunks
         cfg = ou_cfg(
             n_particles=700, n_steps=40, sigma=0.7, seed=-9,
             x0=lambda gen: 2.0 * gen.standard_normal() + gen.random(),
         )
+        # 256-stream chunks of one-step blocks (live streams) or of one block (re-keyed)
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * fit)
         batch = simulate_ensemble(DriftSpec.linear(1.3), cfg, n_workers=n_workers)
         sdt = cfg.sigma * math.sqrt(cfg.dt)
         x = np.empty(cfg.n_particles)
@@ -286,8 +308,8 @@ class TestSimulateEnsemble:
     def test_stacked_step_sizes_equal_separate_runs(
         self, monkeypatch, x0, sigma, n_workers, n_paths, n_steps
     ):
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-particle chunks
-        dts = (0.01, 0.1, 1.0)  # 3 step blocks
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-stream chunks, many step blocks
+        dts = (0.01, 0.1, 1.0)  # at least 3 step blocks
         drift = DriftSpec.time_scaled()
         base = dict(n_steps=n_steps, sigma=sigma, seed=4, x0=x0, t0=1.0, record_every=3)
         stacked = simulate_ensemble(
@@ -348,7 +370,7 @@ class TestSimulateEnsemble:
     def test_overflow_reports_particle_and_step(
         self, monkeypatch, drift, n_particles, message, n_workers
     ):
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-particle chunks
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-stream chunks
         cfg = SdeConfig(
             dt=1.0, n_steps=60, sigma=0.0, n_particles=n_particles, seed=1, x0=1.0
         )

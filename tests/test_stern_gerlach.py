@@ -332,6 +332,18 @@ class TestPlatePeakCount:
         assert count_plate_modes(z) == peaks.size
 
 
+    @pytest.mark.parametrize("z", [[np.nan, 1.0], [np.inf, 0.0], [1e308, -1e308]],
+                             ids=["nan", "inf", "overflowing-span"])
+    def test_refuses_non_finite_positions_and_spans(self, z):
+        # the suite turns numpy's overflow and invalid-value warnings into errors
+        with pytest.raises(InvalidInputError, match="^plate positions must be finite"):
+            count_plate_modes(z)
+
+    @pytest.mark.parametrize("z", [[-1.5, -1.5 + 4e-16, -1.5 - 2e-16], [1e300, 1e300], [2.0]])
+    def test_a_span_too_narrow_to_split_is_one_mode(self, z):
+        assert count_plate_modes(z) == 1
+
+
 def test_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(spinmech.__file__))
     env = dict(os.environ, PYTHONPATH=src)

@@ -10,8 +10,9 @@ Each canned config in ``configs/`` runs at the reduced sizes in ``REDUCED``
 and ``tracking_summary.json`` echo the output dir, so the fixed relative
 dir makes them hash the same wherever the run happens.  The digests land
 in ``tests/data/golden_digests.txt`` as ``<sha256>  <scenario>/<file>``
-lines; ``--check`` compares against that file instead of writing it and
-exits 1 on any difference.  ``tests/test_goldens.py`` runs the same check.
+lines; ``--check`` compares against that file instead of writing it and,
+on any difference, prints each moved line and exits 1.
+``tests/test_goldens.py`` runs the same check.
 
 ``--full`` runs the canned configs as committed instead, with output dir
 ``canned/<scenario>``, once on one worker and once on two; the two runs must
@@ -76,6 +77,14 @@ def digest_lines(work_dir, n_workers: int = 1, full: bool = False) -> list[str]:
     return lines
 
 
+def moved_lines(expected, actual) -> list[str]:
+    """``- <line>`` for each digest line only in ``expected``, then ``+ <line>``
+    for each only in ``actual``."""
+    old, new = set(expected), set(actual)
+    return ([f"- {line}" for line in expected if line not in new]
+            + [f"+ {line}" for line in actual if line not in old])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true",
@@ -88,9 +97,11 @@ def main() -> int:
         lines = digest_lines(work, full=args.full)
     if args.full:
         with tempfile.TemporaryDirectory() as work:
-            if digest_lines(work, n_workers=2, full=True) != lines:
-                print("digests differ between 1 and 2 workers", file=sys.stderr)
-                return 1
+            two = digest_lines(work, n_workers=2, full=True)
+        if two != lines:
+            print("digests differ between 1 and 2 workers:", *moved_lines(lines, two),
+                  sep="\n", file=sys.stderr)
+            return 1
     text = "\n".join(lines) + "\n"
     if not args.check:
         target.write_text(text)
@@ -99,7 +110,8 @@ def main() -> int:
     if target.read_text() == text:
         print(f"{len(lines)} digests match {target}")
         return 0
-    print(f"digests differ from {target}", file=sys.stderr)
+    print(f"digests differ from {target}:", *moved_lines(target.read_text().splitlines(), lines),
+          sep="\n", file=sys.stderr)
     return 1
 
 

@@ -81,19 +81,6 @@ class Grid1D:
     def faces(self) -> np.ndarray:
         return self.x_min + np.arange(self.n_cells + 1) * self.dx
 
-    def matches(self, other: "Grid1D") -> bool:
-        """Same cells, with endpoints equal to a few ULPs of their magnitude.
-
-        A grid rebuilt from written cell centers (``io.read_density``) lands
-        within 2 ULPs of the larger endpoint magnitude of the original.
-        """
-        if self.n_cells != other.n_cells:
-            return False
-        scale = max(abs(self.x_min), abs(self.x_max), abs(other.x_min), abs(other.x_max))
-        tol = 4.0 * math.ulp(scale)
-        return (abs(self.x_min - other.x_min) <= tol
-                and abs(self.x_max - other.x_max) <= tol)
-
 
 @dataclass(frozen=True)
 class DensityField:
@@ -335,7 +322,7 @@ def histogram_density(
 
 
 def l1_distance(a: DensityField, b: DensityField) -> float:
-    """Integrated absolute difference; 2 for disjoint unit masses."""
-    if not a.grid.matches(b.grid):
+    """Integrated absolute difference of two fields on one grid; 2 for disjoint unit masses."""
+    if a.grid != b.grid:
         raise InvalidInputError("density fields live on different grids")
     return float(np.abs(a.values - b.values).sum() * a.grid.dx)

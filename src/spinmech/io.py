@@ -83,18 +83,16 @@ def write_density(path, field: DensityField) -> None:
     write_csv(path, ["x", "rho"], [field.grid.centers, field.values])
 
 
-def read_density(path) -> DensityField:
+def read_density(path, grid: Grid1D) -> DensityField:
+    """The ``x,rho`` file at ``path``, read on ``grid``, the grid it was written on.
+
+    The x column must equal ``grid.centers`` exactly, since ``%.17g``
+    round-trips every double; a file from any other grid is refused.
+    """
     data = read_csv(path)
-    xs, values = data[:, 0], data[:, 1]
-    if xs.size < 2:
-        raise InvalidInputError(f"{path}: need at least two cells")
-    dx = xs[1] - xs[0]
-    grid = Grid1D(
-        x_min=float(xs[0] - 0.5 * dx),
-        x_max=float(xs[-1] + 0.5 * dx),
-        n_cells=xs.size,
-    )
-    return DensityField(grid, values)
+    if data.shape != (grid.n_cells, 2) or not np.array_equal(data[:, 0], grid.centers):
+        raise InvalidInputError(f"{path}: not an x,rho table on the cell centers of {grid}")
+    return DensityField(grid, data[:, 1])
 
 
 def write_density_sequence(out_dir, times, fields) -> list[str]:

@@ -367,8 +367,8 @@ def _run_fp_stationary(cfg: ScenarioConfig):
     omega, sigma = p["omega"], p["sigma"]
 
     def rho_fn(x):
-        with np.errstate(over="ignore"):  # x**2 beyond the float range gives exp(-inf) = 0
-            return np.exp(-omega * np.asarray(x) ** 2 / (sigma * sigma))
+        with np.errstate(over="ignore"):  # a user-set half_width can overflow: exp(-inf) = 0
+            return np.exp(-((np.asarray(x) * math.sqrt(omega) / sigma) ** 2))
 
     drift = drift_from_density(rho_fn, sigma)  # refuses sigma <= 0 before it sizes the grid
     half = p["half_width"] or 6.0 * (sigma / math.sqrt(2.0 * omega))
@@ -380,8 +380,8 @@ def _run_fp_stationary(cfg: ScenarioConfig):
         times, snaps = fp_solve(rho0, drift, sigma, p["t_final"], dt, output_times)
         names = io.write_density_sequence(out, times, snaps)
 
-        first = io.read_density(out / names[0])
-        last = io.read_density(out / names[-2])  # last snapshot; manifest is names[-1]
+        first = io.read_density(out / names[0], grid)
+        last = io.read_density(out / names[-2], grid)  # last snapshot; manifest is names[-1]
         metrics = {
             "l1_change": l1_distance(first, last),
             "mass_error": abs(last.mass() - 1.0),
@@ -427,8 +427,8 @@ def _run_mc_fp_xval(cfg: ScenarioConfig):
         _, snaps = fp_solve(rho0, drift, p["sigma"], p["t_final"], dt_fp)
         io.write_density(out / "fp_density.csv", snaps[-1])
 
-        a = io.read_density(out / "mc_histogram.csv")
-        b = io.read_density(out / "fp_density.csv")
+        a = io.read_density(out / "mc_histogram.csv", grid)
+        b = io.read_density(out / "fp_density.csv", grid)
         metrics = {
             "l1_distance": l1_distance(a, b),
             "out_of_range_fraction": float(out_frac),

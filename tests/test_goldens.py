@@ -33,5 +33,4 @@ def test_artifact_digests_match_goldens(tmp_path, monkeypatch, n_workers, chunk_
     regen = _load_script()
     expected = regen.GOLDEN_FILE.read_text().splitlines()
     actual = regen.digest_lines(tmp_path, n_workers)
-    moved = sorted(set(expected) ^ set(actual))
-    assert actual == expected, "artifacts moved:\n" + "\n".join(moved)
+    assert actual == expected, "\n".join(["artifacts moved:", *regen.moved_lines(expected, actual)])

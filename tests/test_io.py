@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinmech import io
 from spinmech.control import ControlLaw, ReferenceTrajectory, simulate_tracking
+from spinmech.errors import InvalidInputError
 from spinmech.fokker_planck import DensityField, Grid1D, l1_distance
 from spinmech.sde import DriftSpec, SdeConfig, simulate_ensemble
 from spinmech.spin import Spinor
@@ -39,11 +40,9 @@ def test_density_round_trip(tmp_path):
     field = DensityField.from_function(grid, lambda x: np.exp(-np.asarray(x) ** 2))
     path = tmp_path / "rho.csv"
     io.write_density(path, field)
-    back = io.read_density(path)
+    back = io.read_density(path, grid)
+    assert back.grid == grid
     assert np.array_equal(back.values, field.values)
-    assert back.grid.n_cells == 32
-    assert back.grid.x_min == pytest.approx(-2.0, abs=1e-12)
-    assert back.grid.x_max == pytest.approx(2.0, abs=1e-12)
 
 
 @given(
@@ -56,14 +55,26 @@ def test_density_round_trip(tmp_path):
 def test_density_round_trip_compares_with_the_original(
     tmp_path_factory, x_min, width, n_cells, seed
 ):
-    # the grid is rebuilt from cell centers, so its endpoints may differ from
-    # the written ones in the last bits; l1_distance must still accept it
     grid = Grid1D(x_min, x_min + width, n_cells)
     v = np.random.default_rng(seed).random(n_cells) + 1e-3
     field = DensityField(grid, v / (v.sum() * grid.dx))
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
     io.write_density(path, field)
-    assert l1_distance(io.read_density(path), field) < 1e-12
+    back = io.read_density(path, grid)
+    assert back.grid == grid
+    assert np.array_equal(back.values, field.values)
+    assert l1_distance(back, field) == 0.0
+
+
+@pytest.mark.parametrize("other", [
+    Grid1D(0.0, float(np.nextafter(1.0, 2.0)), 32),  # x_max one ulp further out
+    Grid1D(0.0, 1.0, 64),
+])
+def test_density_from_another_grid_is_refused(tmp_path, other):
+    grid = Grid1D(0.0, 1.0, 32)
+    io.write_density(tmp_path / "rho.csv", DensityField(grid, np.ones(32)))
+    with pytest.raises(InvalidInputError, match="cell centers"):
+        io.read_density(tmp_path / "rho.csv", other)
 
 
 def test_density_sequence_manifest(tmp_path):

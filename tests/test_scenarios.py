@@ -614,6 +614,26 @@ dir = {tmp_path / "out"}
         density = (tmp_path / "mc" / "fp_density.csv").read_bytes()
         assert density != (tmp_path / "initial.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "scenario,params",
+        [
+            # cell centers 1e5 away from zero; a grid rebuilt from them misses unit mass
+            ("mc_fp_xval",
+             "omega = 1e-9\nsigma = 1e-3\nx0 = 100000.005\nt_final = 0.001\ndt_mc = 1e-4\n"
+             "n_particles = 2000\nn_cells = 50\nx_min = 100000\nx_max = 100000.01"),
+            # a domain so wide that x**2 overflows before omega scales it down
+            ("fp_stationary", "omega = 1e-310\nsigma = 1\nn_cells = 64\nt_final = 1\n"
+             "n_snapshots = 3"),
+        ],
+        ids=["offset-grid", "tiny-omega"],
+    )
+    def test_density_metrics_read_back_on_extreme_grids(self, tmp_path, scenario, params):
+        text = (
+            f"[scenario]\nname = {scenario}\nseed = 3\n[parameters]\n{params}\n"
+            f"[output]\ndir = {tmp_path / 'out'}\n"
+        )
+        assert cli.main(["run", self._write(tmp_path, text)]) == cli.EXIT_OK
+
     def test_refused_run_scenario_creates_no_output_dir(self, tmp_path):
         cfg = parse_config(SMALL_OU.format(out=tmp_path / "out"))
         cfg = replace(cfg, parameters={**cfg.parameters, "record_every": 7})

@@ -25,7 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import FitWindowError, InvalidInputError, NumericalOverflowError, check_number
+from .errors import FitWindowError, InvalidInputError, NumericalOverflowError
+from .errors import check_finite, check_number
 from .sde import DriftSpec, SdeConfig, simulate_ensemble
 
 #: Relative agreement required between v_r_dot and a central difference of v_r.
@@ -149,9 +150,9 @@ def error_dynamics_fit(errors, times) -> float:
     """Least-squares slope of ``ln|e(t)|`` over the run's central ``[0.1 T, 0.9 T]``.
 
     That ``FIT_WINDOW`` skips initial transients and terminal floors.
-    Windows containing zeros or sign changes are rejected.
+    Windows containing zeros, sign changes or non-finite errors are rejected.
     """
-    times = np.asarray(times, dtype=float)
+    times = check_finite("times", np.asarray(times, dtype=float))
     errors = np.asarray(errors, dtype=float)
     if times.shape != errors.shape or times.ndim != 1:
         raise InvalidInputError("times and errors must be matching 1-d arrays")
@@ -161,6 +162,8 @@ def error_dynamics_fit(errors, times) -> float:
     t = times[mask]
     if e.size < 2:
         raise FitWindowError(f"fit window [{lo:g}, {hi:g}] holds {e.size} samples")
+    if not np.all(np.isfinite(e)):
+        raise FitWindowError("fit window contains non-finite errors")
     if np.any(e == 0.0):
         raise FitWindowError("fit window contains zero errors")
     if np.any(np.sign(e) != np.sign(e[0])):

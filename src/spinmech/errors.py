@@ -4,6 +4,7 @@ An error's ``errors`` property holds its messages, one per problem, and every
 refused input is an :class:`InvalidInputError`, a :class:`ConfigurationError` too.
 :func:`check_number` is the one place each numeric precondition is written,
 :func:`check_int` the one place each count or seed must be an integer,
+:func:`check_finite` the one place an input array must be finite,
 :func:`check_steps` the one place a step count must fit in 64 bits, and
 :func:`check_overflow` the one place a computed value must be finite.
 """
@@ -58,6 +59,13 @@ def check_int(name: str, value, low: float = -math.inf):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value:
         rule = "an integer" if low == -math.inf else f"an integer >= {low:g}"
         raise InvalidInputError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def check_finite(name: str, value):
+    """``value`` if every entry of it is finite; else "``name`` must be finite"."""
+    if not np.all(np.isfinite(value)):
+        raise InvalidInputError(f"{name} must be finite")
     return value
 
 

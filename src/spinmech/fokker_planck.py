@@ -17,13 +17,13 @@ small enough that implicit solvers would buy nothing but opacity.
 
 A drift marked ``DriftSpec.autonomous`` (linear, from-density) does not
 read ``t``, so :func:`fp_solve` checks stability and builds the face flux
-at its first step, the largest, and keeps it; any other drift is
-checked and weighted at every step's ``t``.  Either way it steps raw arrays
-through :func:`fp_step`'s update kernel, negative-density guard and clip,
-and validates a :class:`DensityField` only at snapshots.  One time rule:
-times closer than ``TIME_SLACK * t_final`` are equal.  One step rule:
-:func:`_step_bounds` gives every bound, and :func:`stable_dt` refuses a
-face drift that is not finite.
+at its first step, the largest, and keeps it; any other drift is checked
+and weighted at every step's ``t``.  Its loop is the one density step (the
+update, the negative-density guard and clip, the boundary-mass warning) and
+validates a :class:`DensityField` only at snapshots; :func:`fp_step` is the
+one-step solve.  One time rule: times closer than ``TIME_SLACK * t_final``
+are equal.  One step rule: :func:`_step_bounds` gives every bound, and
+:func:`stable_dt` refuses a face drift that is not finite.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     ConfigurationError,
     InvalidInputError,
     NumericalOverflowError,
+    check_finite,
     check_int,
     check_number,
     check_steps,
@@ -175,40 +176,6 @@ def _checked_flux(u_face, sigma: float, dx: float, dt: float):
     return _face_flux(u_face, sigma, dx)
 
 
-def _warn_boundary_mass(values: np.ndarray, dx: float) -> bool:
-    """Warn the solver's caller when the edge cells hold mass; True if so."""
-    boundary = (values[0] + values[-1]) * dx
-    if boundary <= BOUNDARY_MASS_WARN:
-        return False
-    warnings.warn(
-        f"boundary mass {boundary:.3g} exceeds {BOUNDARY_MASS_WARN:g}; "
-        "the domain is too narrow for reflecting boundaries to be neutral",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return True
-
-
-def _advance(values: np.ndarray, flux, dx: float, dt: float) -> np.ndarray:
-    """One explicit conservative update of raw cell values (the shared kernel).
-
-    Fails when a value drops below ``NEGATIVE_FLOOR`` and clips the
-    rounding-level negatives above it.
-    """
-    moved = dt / dx * flux(values)
-    new = values.copy()
-    new[:-1] -= moved
-    new[1:] += moved
-    low = float(new.min())
-    if not low >= NEGATIVE_FLOOR:  # a NaN fails too
-        raise NumericalOverflowError(
-            f"density went negative or NaN ({low:g}); step is unstable for this drift"
-        )
-    if low < 0.0:
-        new = np.where(new < 0.0, 0.0, new)
-    return new
-
-
 def _step_bounds(u_face: np.ndarray, sigma: float, dx: float):
     """The diffusive, advective and positivity step bounds (inf where absent)."""
     umax = float(np.max(np.abs(u_face)))
@@ -239,13 +206,13 @@ def stable_dt(drift: DriftSpec, sigma: float, grid: Grid1D) -> float:
 def fp_step(
     rho: DensityField, drift: DriftSpec, sigma: float, t: float, dt: float
 ) -> DensityField:
-    """One explicit conservative step; mass is conserved to rounding."""
+    """One explicit conservative step from ``t``: the one-step :func:`fp_solve`
+    of the drift shifted by ``t``, so mass is conserved to rounding."""
     check_number("sigma", sigma, 0.0)
+    check_number("t", t)
     check_number("dt", dt, positive=True)
-    grid = rho.grid
-    flux = _checked_flux(drift(grid.faces[1:-1], t), sigma, grid.dx, dt)
-    _warn_boundary_mass(rho.values, grid.dx)
-    return DensityField(grid, _advance(rho.values, flux, grid.dx, dt))
+    _, snaps = fp_solve(rho, DriftSpec(lambda x, s: drift(x, t + s)), sigma, dt, dt)
+    return snaps[-1]
 
 
 def fp_solve(
@@ -262,9 +229,10 @@ def fp_solve(
     until it reaches ``t_final``, and a snapshot is taken at the first step
     boundary that reaches its time or ``t_final``; the returned times are
     the actual ones.  ``t_final = 0`` returns the initial field unchanged.
-    The result equals a chain of :func:`fp_step` calls bit for bit; for an
-    autonomous drift the stability check and the face flux are built once,
-    for the largest step taken.  It warns of boundary mass at most once.
+    A step moves ``dt / dx * flux`` across each interior face, refuses a
+    value below ``NEGATIVE_FLOOR`` and clips the rounding-level negatives
+    above it.  It warns of boundary mass at most once.  For an autonomous
+    drift the stability check and face flux are built once, for the largest step.
     """
     check_number("t_final", t_final, 0.0)
     check_number("dt", dt, positive=True)
@@ -281,10 +249,7 @@ def fp_solve(
     faces = grid.faces[1:-1]
     times: list[float] = []
     snaps: list[DensityField] = []
-    t = 0.0
-    next_out = 0
-    values = rho0.values
-    warned = False
+    t, next_out, values, warned = 0.0, 0, rho0.values, False
     while True:
         while next_out < len(wanted) and min(wanted[next_out], t_final) - slack <= t:
             times.append(t)
@@ -295,9 +260,23 @@ def fp_solve(
         step = min(dt, t_final - t)
         if t == 0.0 or not drift.autonomous:  # the first step is the largest
             flux = _checked_flux(drift(faces, t), sigma, grid.dx, step)
-        if not warned:
-            warned = _warn_boundary_mass(values, grid.dx)
-        values = _advance(values, flux, grid.dx, step)
+        boundary = 0.0 if warned else (values[0] + values[-1]) * grid.dx
+        if boundary > BOUNDARY_MASS_WARN:  # named at the caller's line
+            warnings.warn(f"boundary mass {boundary:.3g} exceeds {BOUNDARY_MASS_WARN:g}; the "
+                          "domain is too narrow for reflecting boundaries to be neutral",
+                          RuntimeWarning, stacklevel=2)
+            warned = True
+        moved = step / grid.dx * flux(values)
+        values = values.copy()
+        values[:-1] -= moved
+        values[1:] += moved
+        low = float(values.min())
+        if not low >= NEGATIVE_FLOOR:  # a NaN fails too
+            raise NumericalOverflowError(
+                f"density went negative or NaN ({low:g}); step is unstable for this drift"
+            )
+        if low < 0.0:
+            values = np.where(values < 0.0, 0.0, values)
         t = min(t + step, t_final)
     return np.asarray(times), snaps
 
@@ -311,7 +290,7 @@ def histogram_density(
     n_times = batch.paths.shape[1]
     if not check_int("step_index", step_index, -n_times) < n_times:
         raise InvalidInputError(f"step_index must be < {n_times}, got {step_index}")
-    xs = batch.paths[:, step_index]
+    xs = check_finite("positions", batch.paths[:, step_index])
     counts, _ = np.histogram(xs, bins=grid.faces)
     inside = int(counts.sum())
     if inside == 0:

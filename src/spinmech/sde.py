@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     InvalidInputError,
     NumericalOverflowError,
+    check_finite,
     check_int,
     check_number,
     check_overflow,
@@ -192,8 +193,9 @@ def _em_update(x, drift, t, dt, dw):
 def euler_maruyama_step(x, drift: DriftSpec, t: float, dt: float, dw):
     """One explicit step ``x + b(x, t) dt + dw``; deterministic in its inputs."""
     check_number("dt", dt, positive=True)
-    x = np.asarray(x, dtype=float)
-    dw = np.asarray(dw, dtype=float)
+    check_number("t", t)
+    x = check_finite("x", np.asarray(x, dtype=float))
+    dw = check_finite("dw", np.asarray(dw, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):  # check_overflow raises instead
         out = check_overflow("Euler-Maruyama step", _em_update(x, drift, t, dt, dw))
     return float(out) if out.ndim == 0 else out
@@ -315,7 +317,7 @@ def momentum_estimate(
     estimate that the row alone would get.
     """
     check_number("variance_threshold", variance_threshold, 0.0)
-    times = np.asarray(times, dtype=float)
+    times = check_finite("times", np.asarray(times, dtype=float))
     positions = np.asarray(positions, dtype=float, order="C")  # rows sum as 1-d paths do
     if times.ndim != 1 or positions.ndim not in (1, 2) or positions.shape[-1] != times.size:
         raise InvalidInputError("positions must be one path or rows of paths over 1-d times")
@@ -327,6 +329,7 @@ def momentum_estimate(
         ratio = positions[..., -n_tail:] / tw
         wvar = ratio.var(axis=-1)
     if not np.all(np.isfinite(wvar)):  # a finite variance implies a finite mean
+        check_finite("positions in the tail window", positions[..., -n_tail:])
         raise NumericalOverflowError("x_t / t overflows in the tail window")
     p_hat, converged = ratio.mean(axis=-1), wvar <= variance_threshold
     if positions.ndim == 1:
@@ -343,7 +346,7 @@ def ou_analytic_moments(x0: float, omega: float, sigma: float, t):
     check_number("x0", x0)
     check_number("omega", omega, positive=True)
     check_number("sigma", sigma, 0.0)
-    t = np.asarray(t, dtype=float)
+    t = check_finite("t", np.asarray(t, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):  # check_overflow raises instead
         mean = x0 * np.exp(-omega * t)
         var = sigma * sigma * (1.0 - np.exp(-2.0 * omega * t)) / (2.0 * omega)

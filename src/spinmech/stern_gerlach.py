@@ -168,7 +168,8 @@ def energy_transition(
     mass = float(check_number("mass", mass, positive=True))
     if mode not in ("literal", "kinetic"):
         raise InvalidInputError(f"mode must be 'literal' or 'kinetic', got {mode!r}")
-    p_plus, p_minus = float(p_plus), float(p_minus)  # numpy scalars would warn on overflow
+    p_plus = float(check_number("p_plus", p_plus))  # numpy scalars would warn on overflow
+    p_minus = float(check_number("p_minus", p_minus))
     diff = p_plus * p_plus - p_minus * p_minus  # products overflow to inf; ** raises
     energy = mass * diff if mode == "literal" else diff / (2.0 * mass)
     return check_overflow(f"{mode} energy change", energy)

@@ -170,6 +170,21 @@ class TestErrorDynamicsFit:
         with pytest.raises(FitWindowError, match="zero"):
             error_dynamics_fit(e, t)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        t = np.arange(0, 3, 0.01)
+        t[150] = bad
+        with pytest.raises(InvalidInputError, match="^times must be finite"):
+            error_dynamics_fit(np.exp(-t), t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_rejected(self, bad):
+        t = np.arange(0, 3, 0.01)
+        e = np.exp(-t)
+        e[150] = bad
+        with pytest.raises(FitWindowError, match="non-finite errors"):
+            error_dynamics_fit(e, t)
+
 
 @pytest.fixture
 def no_steps(monkeypatch):

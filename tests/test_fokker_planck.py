@@ -239,6 +239,27 @@ class TestFpStep:
         assert out.values.min() == 0.0
         assert np.array_equal(out.values, np.maximum(raw, 0.0))
 
+    def test_step_from_t_equals_a_hand_written_update(self):
+        # an independent reference: the face flux of drift(faces, t), moved across each face
+        g = Grid1D(-4.0, 4.0, 64)
+        f = gaussian_field(g, mu=0.4, std=0.7)
+        drift = DriftSpec(lambda x, t: -(1.0 + t) * x)
+        sigma, t, dt = 0.6, 0.75, 0.01
+        raw = f.values.copy()
+        moved = dt / g.dx * _face_flux(-(1.0 + t) * g.faces[1:-1], sigma, g.dx)(raw)
+        raw[:-1] -= moved
+        raw[1:] += moved
+        assert raw.min() >= 0.0
+        out = fp_step(f, drift, sigma, t, dt)
+        assert np.array_equal(out.values, raw)
+        assert not np.array_equal(fp_step(f, drift, sigma, 0.0, dt).values, raw)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_step_refuses_a_non_finite_time(self, t):
+        f = gaussian_field(Grid1D(-4.0, 4.0, 32), std=0.5)
+        with pytest.raises(InvalidInputError, match="^t must be finite"):
+            fp_step(f, DriftSpec.linear(1.0), 1.0, t, 1e-3)
+
     def test_nan_density_raised_by_step(self):
         # a NaN drift passes both step bounds; the negative-density guard must catch it
         g = Grid1D(-8.0, 8.0, 32)
@@ -503,6 +524,12 @@ class TestHistogramDensity:
         field, out_frac = histogram_density(self._batch([0.0, 0.5, 5.0, -7.0]), 0, g)
         assert out_frac == 0.5
         assert abs(field.mass() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_rejected(self, bad):
+        g = Grid1D(-1.0, 1.0, 16)
+        with pytest.raises(InvalidInputError, match="^positions must be finite"):
+            histogram_density(self._batch([0.0, 0.5, bad]), 0, g)
 
     @pytest.mark.parametrize("step_index", [99, 2, -3, 1.5, True, "0", None])
     def test_refuses_a_step_index_outside_the_batch(self, step_index):

@@ -2,17 +2,18 @@
 
 Each public constructor and function in ``CALLS`` has a set of valid base
 arguments.  The test replaces one of their float values (a scalar argument,
-or one entry of an array argument) with NaN, +-inf or +-1e308.  The call
-must then raise :class:`InvalidInputError` or :class:`NumericalOverflowError`,
-or return only finite numbers: every number of a returned value or
-dataclass, a returned drift evaluated at ``DRIFT_PROBE`` and a reference
-trajectory at its midpoint.  numpy's floating-point warnings fail the
+or one entry of an array argument) with NaN, +-inf or +-1e308.  A NaN or
+infinite argument must be refused with :class:`InvalidInputError`.  With
++-1e308 the call must raise :class:`InvalidInputError` or
+:class:`NumericalOverflowError`, or return only finite numbers: every
+number of a returned value or dataclass, a returned drift evaluated at
+``DRIFT_PROBE`` and a reference trajectory at its midpoint.  numpy's floating-point warnings fail the
 suite (``filterwarnings`` in ``pyproject.toml``), so a call must not warn
 either.
 
 The examples are derandomized, so every run of the suite checks the same
-ones.  Each case of ``FOUND`` was accepted, or returned a non-finite value,
-before its fix and is added as an explicit example; the cases that change
+ones.  Each case of ``FOUND`` was accepted, returned a non-finite value or
+raised the wrong error before its fix and is added as an explicit example; the cases that change
 two floats at once drive a result past the float range.  To search further,
 drop ``derandomize`` and raise ``max_examples``.
 """
@@ -158,6 +159,14 @@ FOUND = [
     ("ou_analytic_moments", {("omega",): nan}),
     ("euler_maruyama_step", {("dt",): nan}),
     ("fp_step", {("sigma",): nan}),
+    ("fp_step", {("t",): inf}),
+    ("euler_maruyama_step", {("t",): nan}),
+    ("euler_maruyama_step", {("x", 0): nan}),
+    ("euler_maruyama_step", {("dw", 1): -inf}),
+    ("energy_transition", {("p_minus",): nan}),
+    ("energy_transition", {("p_plus",): inf}),
+    ("ou_analytic_moments", {("t", 1): inf}),
+    ("ou_analytic_moments", {("t", 0): -inf}),
     ("DensityField", {("values", i): nan for i in range(32)}),
     # two extremes whose product or sum leaves the float range
     ("DensityField", {("values", 0): 1e308, ("values", 1): 1e308}),
@@ -195,6 +204,10 @@ def test_any_float_argument_raises_a_library_error_or_gives_finite_values(case):
     args = {k: copy.deepcopy(v) if isinstance(v, list) else v for k, v in base.items()}
     for path, value in changes.items():
         _set(args, path, value)
+    if not all(math.isfinite(v) for v in changes.values()):
+        with pytest.raises(InvalidInputError):
+            fn(**args)
+        return
     try:
         result = fn(**args)
     except (InvalidInputError, NumericalOverflowError):

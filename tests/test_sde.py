@@ -137,10 +137,16 @@ class TestEulerMaruyamaStep:
         assert np.allclose(out, [0.5, 1.0])
 
     def test_non_finite_inputs_rejected(self):
-        with pytest.raises(NumericalOverflowError):
+        with pytest.raises(InvalidInputError, match="^x must be finite"):
             euler_maruyama_step(np.nan, DriftSpec.linear(1.0), 0.0, 0.1, 0.0)
-        with pytest.raises(NumericalOverflowError):
+        with pytest.raises(InvalidInputError, match="^dw must be finite"):
             euler_maruyama_step(1.0, DriftSpec.linear(1.0), 0.0, 0.1, np.inf)
+        with pytest.raises(InvalidInputError, match="^t must be finite"):
+            euler_maruyama_step(1.0, DriftSpec.linear(1.0), np.nan, 0.1, 0.0)
+
+    def test_an_overflowing_step_is_a_numerical_error(self):
+        with pytest.raises(NumericalOverflowError):
+            euler_maruyama_step(1e308, DriftSpec.linear(-1.0), 0.0, 1.0, 1e308)
 
     def test_bad_dt_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -467,6 +473,21 @@ class TestMomentumEstimate:
         paths[2, -1] = 1e308  # x_t / t is finite, its variance is not
         with pytest.raises(NumericalOverflowError, match="overflows"):
             momentum_estimate(t, paths)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, bad):
+        t = np.linspace(1.0, 2.0, 50)
+        t[-1] = bad
+        with pytest.raises(InvalidInputError, match="^times must be finite"):
+            momentum_estimate(t, np.ones(50))
+
+    @pytest.mark.parametrize("shape", [(50,), (4, 50)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position_in_the_window_rejected(self, shape, bad):
+        positions = np.ones(shape)
+        positions[..., -1] = bad
+        with pytest.raises(InvalidInputError, match="^positions in the tail window must be"):
+            momentum_estimate(np.linspace(1.0, 2.0, 50), positions)
 
     @pytest.mark.parametrize("positions", [np.ones(49), np.ones((3, 49)), np.ones((2, 3, 50))])
     def test_positions_must_run_over_the_times(self, positions):

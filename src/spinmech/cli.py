@@ -7,8 +7,8 @@ Subcommands::
     spinmech list-scenarios
 
 Exit codes: 0 success, 2 configuration problems, 3 numerical failures,
-4 I/O failures.  ``--seed`` and ``--out`` override the config file;
-``--threads`` only parallelizes, it never changes results.
+4 I/O failures.  ``--seed`` and ``--out`` override the config file and are
+read by its rules, as is the integer ``--threads``, which never changes results.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import apply_overrides
+from .config import apply_overrides, read_flag
 from .errors import InvalidInputError, NumericalOverflowError, check_int
 from .scenarios import human_summary, list_scenarios, parse_config, run_scenario
 
@@ -36,10 +36,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a scenario config")
     run_p.add_argument("config", help="path to the config file")
-    run_p.add_argument("--seed", type=int, default=None, help="override scenario.seed")
+    run_p.add_argument("--seed", default=None, help="override scenario.seed")
     run_p.add_argument("--out", default=None, help="override output.dir")
     run_p.add_argument(
-        "--threads", type=int, default=1,
+        "--threads", default="1",
         help="worker threads for ensembles (does not change results)",
     )
 
@@ -58,24 +58,26 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     try:
-        text = Path(args.config).read_text()
+        raw = Path(args.config).read_bytes()
     except OSError as e:
         print(f"cannot read config: {e}", file=sys.stderr)
         return EXIT_IO
 
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(raw.decode())
         if args.command == "validate":
             print(f"config OK: scenario '{cfg.scenario}', seed {cfg.seed}")
             return EXIT_OK
-        check_int("--threads", args.threads, 1)
+        threads = check_int("--threads", read_flag("--threads", "int", args.threads), 1)
         cfg = apply_overrides(cfg, seed=args.seed, output_dir=args.out)
-        summary = run_scenario(cfg, n_workers=args.threads)
+        summary = run_scenario(cfg, n_workers=threads)
     except NumericalOverflowError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except InvalidInputError as e:
         refused = e.errors
+    except UnicodeDecodeError as e:  # the file was read, but it is not config text
+        refused = [f"{args.config}: not UTF-8 text ({e.reason} at byte {e.start})"]
     except MemoryError:
         refused = ["configured sizes are too large to allocate"]
     except OSError as e:

@@ -9,9 +9,9 @@ Grammar (one statement per line)::
 ``parse_sections`` keeps each value as its stripped text and collects every
 structural problem (with its line number) instead of stopping at the first.
 A value is typed only once its key is known: ``read_value`` reads it as the
-kind the key declares -- an integer within 64 bits, a finite float, a
-comma-separated list of finite floats, or the text itself.  So ``dir = 007``
-names the directory ``007`` and ``n_particles = 1e4`` is the integer 10000.
+kind the key declares -- an integer within 64 bits, a finite float, a list of
+finite floats, the text itself, or a dir (text, not empty, without NUL bytes).
+So ``dir = 007`` is the directory ``007`` and ``n_particles = 1e4`` is 10000.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _number(text: str, expected: str) -> float:
 
 
 def read_value(kind: str, text: str):
-    """``text`` read as a value of ``kind``: "int", "float", "list" or "str".
+    """``text`` read as a value of ``kind``: "int", "float", "list", "str" or "dir".
 
     Numbers must be finite and integers must fit in 64 bits; a ValueError
     says what was expected and quotes the text.
@@ -97,6 +97,12 @@ def read_value(kind: str, text: str):
             raise ValueError(f"expected finite numbers, got {text!r}")
         return values
     if kind == "str":
+        return text
+    if kind == "dir":
+        if not text:
+            raise ValueError(EMPTY_DIR)
+        if "\0" in text:  # the OS refuses every path that holds one
+            raise ValueError(f"the output dir must not hold a NUL byte, got {text!r}")
         return text
     raise AssertionError(f"unknown value kind {kind}")
 
@@ -146,20 +152,22 @@ def parse_sections(text: str) -> RawConfig:
     return raw
 
 
+def read_flag(flag: str, kind: str, value):
+    """A command-line ``value`` read as ``kind`` by the rule of the file; refused as ``flag``."""
+    try:
+        return read_value(kind, str(value))
+    except ValueError as e:
+        raise InvalidInputError(f"{flag}: {e}") from None
+
+
 def apply_overrides(cfg: ScenarioConfig, seed=None, output_dir=None) -> ScenarioConfig:
     """Command-line overrides for the seed and the output directory.
 
     Each is read by the rule for its key in the file: the seed is an
-    integer within 64 bits and the directory is not empty.
+    integer within 64 bits and the directory is a "dir".
     """
     if seed is not None:
-        try:
-            seed = read_value("int", str(seed))
-        except ValueError as e:
-            raise InvalidInputError(f"--seed: {e}") from None
-        cfg = replace(cfg, seed=seed)
+        cfg = replace(cfg, seed=read_flag("--seed", "int", seed))
     if output_dir is not None:
-        if not str(output_dir):
-            raise InvalidInputError(f"--out: {EMPTY_DIR}")
-        cfg = replace(cfg, output_dir=str(output_dir))
+        cfg = replace(cfg, output_dir=read_flag("--out", "dir", output_dir))
     return cfg

@@ -14,11 +14,11 @@ called by the setup states (``SdeConfig``, ``Grid1D``, ``BeamConfig``,
 config-sized arrays (initial density, solver ``dt``), made before the run
 writes any artifact, and the stability bound of a configured density ``dt``.
 
-``run_scenario`` writes the scenario's CSV artifacts first and then
-computes every reported metric by re-reading those files, so the numbers in
-a summary are guaranteed to describe what is actually on disk.  The summary
-file deliberately omits wall-clock timing: artifacts must be byte-identical
-across reruns and thread counts for a fixed seed.
+Each scenario names, writes and re-reads its own artifacts through
+``io.write_csv`` and ``io.read_csv``, and computes every reported metric
+from the re-read files, so the numbers in a summary describe what is on
+disk.  The summary file deliberately omits wall-clock timing: artifacts must
+be byte-identical across reruns and thread counts for a fixed seed.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import io
-from .config import EMPTY_DIR, ScenarioConfig, parse_sections, read_value
+from .config import ScenarioConfig, parse_sections, read_value
 from .control import ControlLaw, ReferenceTrajectory, simulate_tracking
-from .errors import ConfigurationError, SpinmechError, check_number, check_overflow, check_steps
+from .errors import (ConfigurationError, InvalidInputError, SpinmechError, check_number,
+                     check_overflow, check_steps)
 from .fokker_planck import (
     DensityField,
     Grid1D,
@@ -47,6 +48,7 @@ from .fokker_planck import (
 from .sde import (
     DriftSpec,
     SdeConfig,
+    TrajectoryBatch,
     drift_from_density,
     momentum_estimate,
     ou_analytic_moments,
@@ -58,6 +60,7 @@ from .stern_gerlach import (
     DOWN,
     UP,
     BeamConfig,
+    PlateRecords,
     count_plate_modes,
     deflection,
     energy_transition,
@@ -73,7 +76,7 @@ UNDEFINED = "undefined"
 @dataclass(frozen=True)
 class Param:
     name: str
-    kind: str  # "int" | "float" | "str" | "list"
+    kind: str  # "int" | "float" | "str" | "list" | "dir"
     default: object = _REQUIRED
     check: Optional[tuple[Callable, str]] = None  # a rule no constructor in the setup states
 
@@ -254,18 +257,10 @@ def list_scenarios() -> str:
         required = [p for p in spec.params if p.required]
         optional = [p for p in spec.params if not p.required]
         if required:
-            lines.append(
-                "  required: "
-                + ", ".join(f"{p.name} ({p.kind})" for p in required)
-            )
+            lines.append("  required: " + ", ".join(f"{p.name} ({p.kind})" for p in required))
         if optional:
-            lines.append(
-                "  optional: "
-                + ", ".join(
-                    f"{p.name} ({p.kind}, default {_fmt_value(p.default)})"
-                    for p in optional
-                )
-            )
+            lines.append("  optional: " + ", ".join(
+                f"{p.name} ({p.kind}, default {_fmt_value(p.default)})" for p in optional))
         lines.append("  artifacts: " + spec.artifacts)
         lines.append("  metrics: " + ", ".join(spec.metrics))
         if spec.undefined:
@@ -332,9 +327,12 @@ def _run_ou_relax(cfg: ScenarioConfig):
     )
     def run(out: Path, n_workers: int):
         batch = simulate_ensemble(DriftSpec.linear(p["omega"]), sde_cfg, n_workers)
-        io.write_trajectories(out / "trajectories.csv", batch)
+        io.write_csv(out / "trajectories.csv",
+                     ["t", *(f"particle_{i}" for i in range(batch.n_particles))],
+                     [batch.times, *batch.paths])
 
-        rb = io.read_trajectories(out / "trajectories.csv")
+        data = io.read_csv(out / "trajectories.csv")
+        rb = TrajectoryBatch(times=data[:, 0], paths=data[:, 1:].T)
         means = rb.means()
         variances = rb.variances() if rb.n_particles > 1 else np.zeros_like(means)
         n = rb.n_particles
@@ -362,6 +360,23 @@ def _run_ou_relax(cfg: ScenarioConfig):
     return run
 
 
+def _write_density(path, field: DensityField) -> None:
+    """``x,rho`` rows at the cell centers of ``field``."""
+    io.write_csv(path, ["x", "rho"], [field.grid.centers, field.values])
+
+
+def _read_density(path, grid: Grid1D) -> DensityField:
+    """The ``x,rho`` file at ``path``, read on ``grid``, the grid it was written on.
+
+    The x column must equal ``grid.centers`` exactly, since ``%.17g``
+    round-trips every double; a file from any other grid is refused.
+    """
+    data = io.read_csv(path)
+    if data.shape != (grid.n_cells, 2) or not np.array_equal(data[:, 0], grid.centers):
+        raise InvalidInputError(f"{path}: not an x,rho table on the cell centers of {grid}")
+    return DensityField(grid, data[:, 1])
+
+
 def _run_fp_stationary(cfg: ScenarioConfig):
     p = cfg.parameters
     omega, sigma = p["omega"], p["sigma"]
@@ -378,17 +393,21 @@ def _run_fp_stationary(cfg: ScenarioConfig):
         dt = p["dt"] or stable_dt(drift, sigma, grid)
         output_times = np.linspace(0.0, p["t_final"], p["n_snapshots"])
         times, snaps = fp_solve(rho0, drift, sigma, p["t_final"], dt, output_times)
-        names = io.write_density_sequence(out, times, snaps)
+        names = [f"density_{i:04d}.csv" for i in range(len(times))]
+        for name, field in zip(names, snaps):
+            _write_density(out / name, field)
+        io.write_csv(out / "density_manifest.csv", ["index", "time", "file"],
+                     [np.arange(len(times)), np.asarray(times, dtype=float), names])
 
-        first = io.read_density(out / names[0], grid)
-        last = io.read_density(out / names[-2], grid)  # last snapshot; manifest is names[-1]
+        first = _read_density(out / names[0], grid)
+        last = _read_density(out / names[-1], grid)
         metrics = {
             "l1_change": l1_distance(first, last),
             "mass_error": abs(last.mass() - 1.0),
             "boundary_mass": float((last.values[0] + last.values[-1]) * last.grid.dx),
             "dt_used": float(dt),
         }
-        return metrics, names
+        return metrics, names + ["density_manifest.csv"]
     return run
 
 
@@ -423,18 +442,33 @@ def _run_mc_fp_xval(cfg: ScenarioConfig):
         hist, out_frac = histogram_density(batch, -1, grid)
         rho0 = DensityField.from_function(grid, rho_init)  # refused before any artifact
         dt_fp = stable_dt(drift, p["sigma"], grid)
-        io.write_density(out / "mc_histogram.csv", hist)
+        _write_density(out / "mc_histogram.csv", hist)
         _, snaps = fp_solve(rho0, drift, p["sigma"], p["t_final"], dt_fp)
-        io.write_density(out / "fp_density.csv", snaps[-1])
+        _write_density(out / "fp_density.csv", snaps[-1])
 
-        a = io.read_density(out / "mc_histogram.csv", grid)
-        b = io.read_density(out / "fp_density.csv", grid)
+        a = _read_density(out / "mc_histogram.csv", grid)
+        b = _read_density(out / "fp_density.csv", grid)
         metrics = {
             "l1_distance": l1_distance(a, b),
             "out_of_range_fraction": float(out_frac),
         }
         return metrics, ["mc_histogram.csv", "fp_density.csv"]
     return run
+
+
+def _write_branch_summary(path, records: PlateRecords) -> None:
+    """Per-branch counts, means, and standard deviations."""
+    rows = []
+    for branch in (UP, DOWN):
+        z, p = records.branch_arrays(branch)
+        if z.size == 0:
+            rows.append((branch, 0) + (float("nan"),) * 4)
+            continue
+        std_z = z.std(ddof=1) if z.size > 1 else 0.0
+        std_p = p.std(ddof=1) if p.size > 1 else 0.0
+        rows.append((branch, z.size, z.mean(), std_z, p.mean(), std_p))
+    io.write_csv(path, ["branch", "count", "mean_z", "std_z", "mean_p", "std_p"],
+                 [np.array(c) for c in zip(*rows)])
 
 
 def _run_stern_gerlach(cfg: ScenarioConfig):
@@ -453,22 +487,23 @@ def _run_stern_gerlach(cfg: ScenarioConfig):
     )
     def run(out: Path, n_workers: int):
         records = simulate_beam(state, beam, p["n"], cfg.seed)
-        io.write_plate_records(out / "plate.csv", records)
-        io.write_branch_summary(out / "branch_summary.csv", records)
+        io.write_csv(out / "plate.csv", ["index", "branch", "z_final", "p_final"],
+                     [np.arange(len(records)), np.where(records.is_up, UP, DOWN),
+                      records.z_final, records.p_final])
+        _write_branch_summary(out / "branch_summary.csv", records)
 
-        rr = io.read_plate_records(out / "plate.csv")
+        data = io.read_csv(out / "plate.csv", converters={1: lambda s: s == UP})
+        rr = PlateRecords(data[:, 1] == 1.0, data[:, 2], data[:, 3])
         z_up, p_up = rr.branch_arrays(UP)
         z_dn, p_dn = rr.branch_arrays(DOWN)
-        oracle_up = deflection(UP, beam)
-        oracle_dn = deflection(DOWN, beam)
         both = bool(p_up.size and p_dn.size)
         metrics = {
             "up_fraction": rr.up_fraction(),
             "expected_up_fraction": measurement_probabilities(state)[0],
             "mean_z_up": float(z_up.mean()) if z_up.size else None,
             "mean_z_down": float(z_dn.mean()) if z_dn.size else None,
-            "oracle_z_up": oracle_up[0],
-            "oracle_z_down": oracle_dn[0],
+            "oracle_z_up": deflection(UP, beam)[0],
+            "oracle_z_down": deflection(DOWN, beam)[0],
             "n_modes": count_plate_modes(rr.z_final),
         }
         for mode in ("literal", "kinetic"):
@@ -555,11 +590,21 @@ def _tracking_setup(cfg: ScenarioConfig, n_particles: int, target: int):
     return reference, sde_cfg
 
 
+#: Columns of ``tracking.csv``.
+_TRACKING_COLUMNS = ("t", "e_mean", "e_std", "u")
+
+
 def _tracking_metrics(cfg: ScenarioConfig, out: Path, report, eta_gap):
-    """Write both tracking artifacts; the re-read table and the shared metrics."""
-    io.write_tracking_report(out / "tracking.csv", report)
-    io.write_tracking_summary(out / "tracking_summary.json", report, cfg.echo())
-    table = io.read_tracking_table(out / "tracking.csv")
+    """Write the tracking table and the fit results; the re-read table and shared metrics."""
+    io.write_csv(out / "tracking.csv", _TRACKING_COLUMNS,
+                 [report.times, report.errors, report.error_std, report.control])
+    (out / "tracking_summary.json").write_text(json.dumps({
+        "fitted_decay_rate": report.fitted_decay_rate,
+        "terminal_error": report.terminal_error,
+        "fit_window": list(report.fit_window),
+        "config": cfg.echo(),
+    }, indent=2, sort_keys=True) + "\n")
+    table = dict(zip(_TRACKING_COLUMNS, io.read_csv(out / "tracking.csv").T))
     fit = json.loads((out / "tracking_summary.json").read_text())
     omega, e0 = cfg.parameters["omega"], cfg.parameters["e0"]
     t, e = table["t"], table["e_mean"]
@@ -827,4 +872,4 @@ _SCENARIO_KEYS = (
     )),
     Param("seed", "int"),
 )
-_OUTPUT_KEYS = (Param("dir", "str", check=(bool, EMPTY_DIR)),)
+_OUTPUT_KEYS = (Param("dir", "dir"),)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmech.config import apply_overrides, read_value
-from spinmech.errors import ConfigurationError
+from spinmech.errors import ConfigurationError, InvalidInputError
 from spinmech.scenarios import REGISTRY, parse_config
 
 MINIMAL_OU = """
@@ -320,6 +320,15 @@ class TestOverrides:
         assert out.seed == 99
         assert out.output_dir == "elsewhere"
         assert out.parameters == cfg.parameters
+
+    @pytest.mark.parametrize("bad,problem", [("", "must not be empty"),
+                                             ("a\0b", "must not hold a NUL byte")])
+    def test_dir_override_follows_the_file_rule(self, bad, problem):
+        cfg = parse_config(MINIMAL_OU)
+        with pytest.raises(InvalidInputError, match=f"^--out: the output dir {problem}"):
+            apply_overrides(cfg, output_dir=bad)
+        msgs = errors_of(MINIMAL_OU.replace("dir = out/ou", f"dir = {bad}"))
+        assert any(f"output.dir: the output dir {problem}" in m for m in msgs), msgs
 
     def test_none_overrides_keep_original(self):
         cfg = parse_config(MINIMAL_OU)

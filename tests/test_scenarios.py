@@ -8,12 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinmech import cli, io
+from spinmech import cli
 from spinmech.errors import ConfigurationError, InvalidInputError
 from spinmech.fokker_planck import DensityField, Grid1D
 from spinmech.scenarios import (
     REGISTRY,
     _auto_record,
+    _write_density,
     list_scenarios,
     parse_config,
     run_scenario,
@@ -264,6 +265,53 @@ class TestCli:
     def test_missing_file_exit_4(self, capsys):
         assert cli.main(["run", "/nonexistent/path.cfg"]) == cli.EXIT_IO
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(SMALL_OU.format(out=tmp_path / "out").encode("utf-16"))  # starts \xff\xfe
+        assert cli.main([command, str(cfg)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration errors:",
+            f"  - {cfg}: not UTF-8 text (invalid start byte at byte 0)",
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_with_a_nul_byte_exits_2_at_validate(self, tmp_path, monkeypatch, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        cfg = self._write(tmp_path, SMALL_SG.format(out="a\0b").replace("n = 4000", "n = 50"))
+        for command in ("validate", "run"):
+            assert cli.main([command, cfg]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.splitlines() == [
+                "configuration errors:",
+                "  - line 13: output.dir: the output dir must not hold a NUL byte, got 'a\\x00b'",
+            ]
+        assert list(work.iterdir()) == []
+
+    def test_cli_integers_are_read_as_the_file_reads_them(self, tmp_path):
+        file_seed = SMALL_SG.format(out=tmp_path / "a").replace("seed = 9", "seed = 1e3")
+        assert cli.main(["run", self._write(tmp_path, file_seed)]) == cli.EXIT_OK
+        cfg = self._write(tmp_path, SMALL_SG.format(out=tmp_path / "b"))
+        flags = ["--seed", "1e3", "--threads", "2e0"]
+        assert cli.main(["run", cfg, *flags]) == cli.EXIT_OK
+        for name in ("plate.csv", "branch_summary.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert "config.scenario.seed = 1000" in (tmp_path / "b" / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "1.5"), ("--seed", "x"),
+                                            ("--threads", "1.5"), ("--threads", "x")])
+    def test_non_integer_cli_integer_exits_2_under_the_heading(
+        self, tmp_path, capsys, flag, value
+    ):
+        cfg = self._write(tmp_path, SMALL_OU.format(out=tmp_path / "out"))
+        assert cli.main(["run", cfg, flag, value]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration errors:",
+            f"  - {flag}: expected an integer, got '{value}'",
+        ]
+        assert not (tmp_path / "out").exists()
 
     def test_output_dir_that_is_a_file_exit_4(self, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -610,7 +658,7 @@ dir = {tmp_path / "out"}
         initial = DensityField.from_function(
             grid, lambda x: np.exp(-((x - 1.0) ** 2) / (2.0 * s0 * s0))
         )
-        io.write_density(tmp_path / "initial.csv", initial)
+        _write_density(tmp_path / "initial.csv", initial)
         density = (tmp_path / "mc" / "fp_density.csv").read_bytes()
         assert density != (tmp_path / "initial.csv").read_bytes()
 

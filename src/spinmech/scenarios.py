@@ -430,6 +430,7 @@ def _run_mc_fp_xval(cfg: ScenarioConfig):
         seed=cfg.seed,
         x0=sampler,
         record_every=n_steps,
+        record_from=n_steps,
     )
     drift = DriftSpec.linear(p["omega"])
 
@@ -521,7 +522,8 @@ def _run_momentum_limit(cfg: ScenarioConfig):
     drift = DriftSpec.time_scaled(p["t_floor"])
     n_paths, n_steps = p["n_paths"], p["steps_per_horizon"]
     record_every = _auto_record(n_steps, 0, target=4000)
-    tail_samples(n_steps // record_every + 1, p["tail_fraction"])  # refuse a short window now
+    n_rec = n_steps // record_every + 1
+    n_tail = tail_samples(n_rec, p["tail_fraction"])  # the window; a short one is refused now
     sde_cfg = SdeConfig(
         dt=tuple((horizon - p["t0"]) / n_steps for horizon in p["horizons"]),
         n_steps=n_steps,
@@ -531,10 +533,11 @@ def _run_momentum_limit(cfg: ScenarioConfig):
         x0=p["x0"],
         t0=p["t0"],
         record_every=record_every,
+        record_from=(n_rec - n_tail) * record_every,  # store the tail window alone
     )
     def run(out: Path, n_workers: int):
         batch = simulate_ensemble(drift, sde_cfg, n_workers)  # a block of rows per horizon
-        estimates = [momentum_estimate(t, x, p["tail_fraction"], p["variance_threshold"])
+        estimates = [momentum_estimate(t, x, 1.0, p["variance_threshold"])  # the stored window
                      for t, x in zip(batch.times, np.split(batch.paths, len(batch.times)))]
         momentum_header = ["horizon", "path", "p_hat", "window_variance", "converged"]
         io.write_csv(out / "momentum.csv", momentum_header, [

@@ -21,7 +21,6 @@ Drift variants:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -112,6 +111,10 @@ class SdeConfig:
     call.  Each particle then draws ``n_steps`` normals, none with
     ``sigma == 0``; with a scalar ``x0`` as well no stream is set up at all.
     ``record_every`` thins the stored samples; it must divide ``n_steps``.
+    ``record_from`` is the first recorded step, a multiple of ``record_every``
+    up to ``n_steps``: every step is still integrated, but only steps
+    ``record_from, record_from + record_every, .., n_steps`` are stored, and
+    ``x0`` (step 0) only when it is 0.
     """
 
     dt: Union[float, tuple[float, ...]]
@@ -122,6 +125,7 @@ class SdeConfig:
     x0: Union[float, Callable[[np.random.Generator], float]] = 0.0
     t0: float = 0.0
     record_every: int = 1
+    record_from: int = 0
 
     def __post_init__(self):
         for dt in self.step_sizes:
@@ -141,6 +145,12 @@ class SdeConfig:
                 f"record_every must divide n_steps, got "
                 f"{self.record_every} for {self.n_steps} steps"
             )
+        if check_int("record_from", self.record_from, 0) % self.record_every != 0 \
+                or self.record_from > self.n_steps:
+            raise InvalidInputError(
+                f"record_from must be a multiple of record_every={self.record_every} "
+                f"up to n_steps={self.n_steps}, got {self.record_from}"
+            )
 
     @property
     def step_sizes(self) -> tuple:
@@ -154,7 +164,7 @@ class SdeConfig:
 
     def recorded_times(self) -> np.ndarray:
         """The recorded times; ``(G, n_rec)``, one row per step size, for a tuple ``dt``."""
-        ks = np.arange(0, self.n_steps + 1, self.record_every)
+        ks = np.arange(self.record_from, self.n_steps + 1, self.record_every)
         return self.t0 + ks * np.asarray(self.dt, dtype=float)[..., None]
 
 
@@ -218,6 +228,7 @@ def _run_range(drift, cfg, lo, hi, paths, fit):
     ``max(G, ceil(m / fit))`` step blocks (one re-keys a generator per stream;
     several keep the streams alive), ``_TILE`` streams at a time into contiguous
     rows that one transpose makes step-major; group ``g`` scales them by ``sigma * sqrt(dt[g])``.
+    Step ``cfg.record_from + j * cfg.record_every`` is stored in column ``j``.
     """
     G, m = len(cfg.step_sizes), hi - lo
     dt = cfg.step_sizes[0] if G == 1 else np.array(cfg.step_sizes, dtype=float)[:, None]
@@ -249,9 +260,10 @@ def _run_range(drift, cfg, lo, hi, paths, fit):
                     raise NumericalOverflowError(
                         f"particle {g * (paths.shape[0] // G) + lo + i} overflowed at step "
                         f"{k + 1} (x={x[g, i]!r}, |x| bound {OVERFLOW_LIMIT:g})")
-                if (k + 1) % cfg.record_every == 0:
-                    rows[:, :, (k + 1) // cfg.record_every] = x
-    rows[:, :, 0] = x_start  # complete once the first block has drawn every x0
+                if (k + 1) % cfg.record_every == 0 and k + 1 >= cfg.record_from:
+                    rows[:, :, (k + 1 - cfg.record_from) // cfg.record_every] = x
+    if cfg.record_from == 0:  # complete once the first block has drawn every x0
+        rows[:, :, 0] = x_start
 
 
 def simulate_ensemble(
@@ -265,7 +277,7 @@ def simulate_ensemble(
     full-length noise fits ``_CHUNK_NOISE_BYTES``, at least 256 and at most
     16384.  Chunks run on a thread pool only with ``n_workers > 1`` and more
     than one chunk; otherwise they run on the calling thread, so a serial run
-    starts no pool and a per-thread profiler sees all its work.
+    neither imports nor starts a pool and a per-thread profiler sees all its work.
     """
     check_int("n_workers", n_workers, 1)
     times = cfg.recorded_times()
@@ -275,6 +287,7 @@ def simulate_ensemble(
     chunk = max(256, min(fit, 16384, n))
     ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if n_workers > 1 and len(ranges) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(lambda r: _run_range(drift, cfg, *r, paths, fit), ranges))
     else:

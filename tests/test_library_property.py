@@ -74,7 +74,8 @@ CALLS = {
     "Spinor": (Spinor, {"alpha": 0.6, "beta": 0.8}),
     "Spinor.from_unnormalized": (Spinor.from_unnormalized, {"alpha": 3.0, "beta": 4.0}),
     "SdeConfig": (SdeConfig, {"dt": 0.01, "n_steps": 10, "sigma": 1.0, "n_particles": 4,
-                              "seed": 1, "x0": 0.5, "t0": 0.0}),
+                              "seed": 1, "x0": 0.5, "t0": 0.0, "record_every": 2,
+                              "record_from": 4}),
     "DriftSpec.linear": (DriftSpec.linear, {"omega": 1.0}),
     "DriftSpec.time_scaled": (DriftSpec.time_scaled, {"t_floor": 1e-3}),
     "drift_from_density": (drift_from_density, {"rho0": lambda x: np.exp(-x * x),

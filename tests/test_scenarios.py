@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinmech import cli
+from spinmech import cli, scenarios
 from spinmech.errors import ConfigurationError, InvalidInputError
 from spinmech.fokker_planck import DensityField, Grid1D
 from spinmech.scenarios import (
@@ -19,6 +19,7 @@ from spinmech.scenarios import (
     parse_config,
     run_scenario,
 )
+from spinmech.sde import tail_samples
 
 DATA = Path(__file__).parent / "data"
 
@@ -211,6 +212,37 @@ def _auto_record_by_walk(n_steps, target):
     while n_steps % rec:
         rec -= 1
     return rec
+
+
+class TestRecordedWindow:
+    """An ensemble scenario stores only the samples its metrics read."""
+
+    @staticmethod
+    def _recorded(monkeypatch, tmp_path, scenario, **changes):
+        """The SdeConfig and the recorded samples per path of one run."""
+        seen, simulate = [], scenarios.simulate_ensemble
+
+        def spy(drift, cfg, n_workers=1):
+            batch = simulate(drift, cfg, n_workers)
+            seen.append((cfg, batch.paths.shape[1]))
+            return batch
+        monkeypatch.setattr(scenarios, "simulate_ensemble", spy)
+        run_scenario(parse_config(small_config(scenario, tmp_path / "out", **changes)))
+        (recorded,) = seen
+        return recorded
+
+    @pytest.mark.parametrize("tail_fraction", [0.25, 0.5, 1.0])
+    def test_momentum_limit_records_its_tail_window(self, monkeypatch, tmp_path, tail_fraction):
+        cfg, n_samples = self._recorded(monkeypatch, tmp_path, "momentum_limit",
+                                        tail_fraction=tail_fraction)
+        n_rec = cfg.n_steps // cfg.record_every + 1
+        assert n_samples == tail_samples(n_rec, tail_fraction)
+        assert cfg.record_from == (n_rec - n_samples) * cfg.record_every
+        assert (cfg.record_from == 0) == (tail_fraction == 1.0)
+
+    def test_mc_fp_xval_records_the_final_sample(self, monkeypatch, tmp_path):
+        cfg, n_samples = self._recorded(monkeypatch, tmp_path, "mc_fp_xval")
+        assert n_samples == 1 and cfg.record_from == cfg.n_steps
 
 
 class TestAutoRecord:

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import spinmech
 from spinmech import sde
 from spinmech.errors import InvalidInputError, NumericalOverflowError
 from spinmech.sde import (
@@ -169,6 +174,12 @@ class TestSdeConfig:
     def test_recorded_times(self):
         cfg = ou_cfg(n_steps=10, record_every=5, t0=1.0, dt=0.1)
         assert np.allclose(cfg.recorded_times(), [1.0, 1.5, 2.0])
+        assert np.allclose(replace(cfg, record_from=5).recorded_times(), [1.5, 2.0])
+
+    @pytest.mark.parametrize("record_from", [-5, 3, 1005])
+    def test_record_from_is_a_stride_multiple_up_to_n_steps(self, record_from):
+        with pytest.raises(InvalidInputError, match="^record_from must be"):
+            ou_cfg(n_steps=1000, record_every=5, record_from=record_from)
 
     @pytest.mark.parametrize("dt", [(), (0.1, 0.0), (0.1, -0.2), (math.nan, 0.1)])
     def test_refuses_a_bad_step_size_tuple(self, dt):
@@ -194,6 +205,7 @@ class TestSdeConfig:
     @pytest.mark.parametrize("field,value", [
         ("n_steps", 1000.0), ("n_particles", 200.0), ("n_particles", True),
         ("record_every", 2.0), ("seed", 1.5), ("seed", 123.0), ("seed", False),
+        ("record_from", 10.0), ("record_from", True),
     ])
     def test_counts_and_seed_must_be_integers(self, field, value):
         with pytest.raises(InvalidInputError, match=f"^{field} must be an integer"):
@@ -326,6 +338,46 @@ class TestSimulateEnsemble:
             one = simulate_ensemble(drift, SdeConfig(dt=dt, n_particles=n_paths, **base), n_workers)
             assert _same_bits(stacked.paths[g * n_paths:(g + 1) * n_paths], one.paths)
             assert np.array_equal(stacked.times[g], one.times)
+
+    @pytest.mark.parametrize("record_from", [60, 90])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("dt", [0.01, (0.01, 0.1, 1.0)], ids=["G=1", "G=3"])
+    @pytest.mark.parametrize("x0", [1.0, lambda gen: 1.0 + gen.standard_normal()],
+                             ids=["scalar", "sampled"])
+    def test_a_window_is_the_tail_of_the_full_record(
+        self, monkeypatch, x0, dt, n_workers, record_from
+    ):
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-stream chunks, many step blocks
+        cfg = SdeConfig(dt=dt, n_steps=90, sigma=1.0, n_particles=3 * 600, seed=4, x0=x0,
+                        t0=1.0, record_every=3)
+        drift = DriftSpec.time_scaled()
+        full = simulate_ensemble(drift, cfg, n_workers)
+        window = simulate_ensemble(drift, replace(cfg, record_from=record_from), n_workers)
+        n_win = (90 - record_from) // 3 + 1  # one sample when record_from == n_steps
+        assert window.paths.shape == (cfg.n_particles, n_win)
+        assert _same_bits(window.paths, full.paths[:, -n_win:])
+        assert np.array_equal(window.times, cfg.recorded_times()[..., -n_win:])
+
+    def test_record_from_zero_stores_x0_first(self):
+        cfg = ou_cfg(n_particles=20, n_steps=10, seed=-9, record_every=5, record_from=0,
+                     x0=lambda gen: gen.standard_normal())
+        batch = simulate_ensemble(DriftSpec.linear(1.0), cfg)
+        x0 = [cfg.x0(np.random.Generator(np.random.Philox(
+            key=np.array([cfg.seed & (2**64 - 1), i], dtype=np.uint64)))) for i in range(20)]
+        assert np.array_equal(batch.paths[:, 0], x0)
+        later = simulate_ensemble(DriftSpec.linear(1.0), replace(cfg, record_from=5))
+        assert np.array_equal(batch.paths[:, 1:], later.paths)
+
+    def test_a_serial_run_imports_no_thread_pool(self):
+        src = os.path.dirname(os.path.dirname(spinmech.__file__))
+        code = ("import sys, spinmech\n"
+                "from spinmech.sde import DriftSpec, SdeConfig, simulate_ensemble\n"
+                "cfg = SdeConfig(dt=0.01, n_steps=10, sigma=1.0, n_particles=4, seed=1)\n"
+                "simulate_ensemble(DriftSpec.linear(1.0), cfg)\n"
+                "print('concurrent.futures' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert out.stdout.strip() == "False"
 
     def test_zero_scaled_step_size_adds_positive_zero(self):
         # sigma * sqrt(0.25) underflows to 0 while sigma * sqrt(4.0) does not:

@@ -53,7 +53,9 @@ def digest_lines(work_dir, n_workers: int = 1, full: bool = False) -> list[str]:
 
     The runs are reduced unless ``full``.  The digests do not depend on
     ``n_workers`` or on how ensembles are split into chunks;
-    ``tests/test_goldens.py`` checks that.
+    ``tests/test_goldens.py`` checks that.  A file in an output directory
+    that the run's ``summary.artifacts`` does not list is refused, so no
+    artifact goes unpinned.
     """
     lines = []
     here = os.getcwd()
@@ -67,6 +69,10 @@ def digest_lines(work_dir, n_workers: int = 1, full: bool = False) -> list[str]:
                 output_dir=f"{'canned' if full else 'golden'}/{cfg.scenario}",
             )
             summary = run_scenario(cfg, n_workers=n_workers)
+            unlisted = {p.name for p in Path(cfg.output_dir).iterdir()} - set(summary.artifacts)
+            if unlisted:
+                raise RuntimeError(f"{cfg.scenario} wrote {sorted(unlisted)}, which its "
+                                   "summary does not list as artifacts")
             for name in sorted(summary.artifacts):
                 digest = hashlib.sha256(
                     (Path(cfg.output_dir) / name).read_bytes()

@@ -14,11 +14,15 @@ called by the setup states (``SdeConfig``, ``Grid1D``, ``BeamConfig``,
 config-sized arrays (initial density, solver ``dt``), made before the run
 writes any artifact, and the stability bound of a configured density ``dt``.
 
-Each scenario names, writes and re-reads its own artifacts through
-``io.write_csv`` and ``io.read_csv``, and computes every reported metric
-from the re-read files, so the numbers in a summary describe what is on
-disk.  The summary file deliberately omits wall-clock timing: artifacts must
-be byte-identical across reruns and thread counts for a fixed seed.
+A setup returns the run in two stages, and ``run_scenario`` writes what
+each returns.  ``compute(n_workers)`` simulates and returns the primary
+tables with the metrics that no artifact records: ``dt_used`` (the density
+step) and ``out_of_range_fraction`` (the samples a histogram drops).
+``measure(out)`` gets only the output directory: it re-reads the primary
+tables through ``io.read_csv`` and returns the derived tables and every other
+metric, so those numbers describe what is on disk.  The summary file
+deliberately omits wall-clock timing: artifacts must be byte-identical
+across reruns and thread counts for a fixed seed.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ class ScenarioSpec:
     params: tuple
     artifacts: str  # human description; actual names come from the run
     metrics: tuple
-    runner: Callable  # the setup: runner(cfg) -> run(out, n_workers) -> (metrics, artifacts)
+    runner: Callable  # the setup: runner(cfg) -> (compute, measure); see run_scenario
     undefined: str = ""  # which metrics can be undefined (None), and when
 
 
@@ -185,10 +189,6 @@ def _fmt_value(v) -> str:
 
 
 def _write_summary(path, summary: RunSummary):
-    bad = {k: v for k, v in summary.metrics.items()
-           if isinstance(v, float) and not math.isfinite(v)}
-    if bad:  # an undefined metric is None; a non-finite float is a bug
-        raise AssertionError(f"scenario '{summary.scenario}' non-finite metrics: {bad}")
     lines = [f"scenario = {summary.scenario}"]
     for k, v in summary.config_echo.items():
         lines.append(f"config.{k} = {_fmt_value(v)}")
@@ -215,33 +215,46 @@ def human_summary(summary: RunSummary) -> str:
 def run_scenario(cfg: ScenarioConfig, n_workers: int = 1) -> RunSummary:
     """Execute one scenario; artifacts land in ``cfg.output_dir``.
 
-    Metrics are always recomputed from the written artifact files.
+    The setup returns two stages, each returning ``(tables, metrics)``; a
+    table is ``(header, columns)`` for ``io.write_csv`` or the text of its
+    file.  ``compute(n_workers)`` runs the simulation, and ``measure(out)``
+    gets only the directory that ``compute``'s tables were written to.  Both
+    stages' tables are written here, in order, and their metrics together
+    must be the documented set, each reported once and none a non-finite float.
     """
     spec = REGISTRY[cfg.scenario]
     out = Path(cfg.output_dir)
     started = time.perf_counter()
+    artifacts, reported = [], []
     try:
-        run = spec.runner(cfg)  # set up again: apply_overrides may have changed the seed
+        compute, measure = spec.runner(cfg)  # set up again: apply_overrides may change the seed
         out.mkdir(parents=True, exist_ok=True)
-        metrics, artifacts = run(out, n_workers)
+        for stage, arg in ((compute, n_workers), (measure, out)):
+            tables, metrics = stage(arg)
+            for name, table in tables.items():
+                if isinstance(table, str):
+                    (out / name).write_text(table)
+                else:
+                    io.write_csv(out / name, *table)
+            artifacts += tables  # the names, in the order written
+            reported.append(metrics)
+            tables = table = None  # the next stage runs without this one's arrays
     except SpinmechError as e:
         e.args = tuple(f"scenario '{cfg.scenario}': {m}" for m in e.errors)
         raise
-    missing = set(spec.metrics) - set(metrics)
-    extra = set(metrics) - set(spec.metrics)
-    if missing or extra:
-        raise AssertionError(
-            f"scenario '{cfg.scenario}' metric set drifted: missing={missing} "
-            f"extra={extra}"
-        )
-    artifacts = list(artifacts) + ["summary.txt"]
-    summary = RunSummary(
-        scenario=cfg.scenario,
-        config_echo=cfg.echo(),
-        metrics=metrics,
-        duration_seconds=time.perf_counter() - started,
-        artifacts=artifacts,
-    )
+    computed, measured = reported
+    metrics = {**computed, **measured}
+    drift = {"missing": set(spec.metrics) - set(metrics), "extra": set(metrics) - set(spec.metrics),
+             "reported by both stages": computed.keys() & measured.keys(),
+             # an undefined metric is None; a non-finite float is a bug
+             "non-finite": {k: v for k, v in metrics.items()
+                            if isinstance(v, float) and not math.isfinite(v)}}
+    if any(drift.values()):
+        raise AssertionError(f"scenario '{cfg.scenario}' metric set drifted: "
+                             + "; ".join(f"{k} {v}" for k, v in drift.items() if v))
+    summary = RunSummary(scenario=cfg.scenario, config_echo=cfg.echo(), metrics=metrics,
+                         duration_seconds=time.perf_counter() - started,
+                         artifacts=artifacts + ["summary.txt"])
     _write_summary(out / "summary.txt", summary)
     return summary
 
@@ -325,21 +338,20 @@ def _run_ou_relax(cfg: ScenarioConfig):
         x0=p["x0"],
         record_every=rec,
     )
-    def run(out: Path, n_workers: int):
+    def compute(n_workers: int):
         batch = simulate_ensemble(DriftSpec.linear(p["omega"]), sde_cfg, n_workers)
-        io.write_csv(out / "trajectories.csv",
-                     ["t", *(f"particle_{i}" for i in range(batch.n_particles))],
-                     [batch.times, *batch.paths])
+        header = ["t", *(f"particle_{i}" for i in range(batch.n_particles))]
+        return {"trajectories.csv": (header, [batch.times, *batch.paths])}, {}
 
+    def measure(out: Path):
         data = io.read_csv(out / "trajectories.csv")
         rb = TrajectoryBatch(times=data[:, 0], paths=data[:, 1:].T)
         means = rb.means()
         variances = rb.variances() if rb.n_particles > 1 else np.zeros_like(means)
         n = rb.n_particles
         mean_ref, var_ref = ou_analytic_moments(p["x0"], p["omega"], p["sigma"], rb.times)
-        io.write_csv(out / "moments.csv", ["t", "mean", "var", "mean_analytic", "var_analytic"],
-                     [rb.times, means, variances, mean_ref, var_ref])
-
+        moments = (["t", "mean", "var", "mean_analytic", "var_analytic"],
+                   [rb.times, means, variances, mean_ref, var_ref])
         live = rb.times > 0
         metrics = {
             "n_checkpoints": int(live.sum()),
@@ -356,13 +368,13 @@ def _run_ou_relax(cfg: ScenarioConfig):
             z_var = np.abs(variances[live] - var_ref[live]) / np.maximum(se_var, 1e-300)
             metrics.update(max_abs_z_mean=float(z_mean.max()),
                            max_abs_z_var=float(z_var.max()), terminal_var=float(variances[-1]))
-        return metrics, ["trajectories.csv", "moments.csv"]
-    return run
+        return {"moments.csv": moments}, metrics
+    return compute, measure
 
 
-def _write_density(path, field: DensityField) -> None:
-    """``x,rho`` rows at the cell centers of ``field``."""
-    io.write_csv(path, ["x", "rho"], [field.grid.centers, field.values])
+def _density_table(field: DensityField):
+    """The ``x,rho`` table of ``field`` at its cell centers."""
+    return ["x", "rho"], [field.grid.centers, field.values]
 
 
 def _read_density(path, grid: Grid1D) -> DensityField:
@@ -388,27 +400,26 @@ def _run_fp_stationary(cfg: ScenarioConfig):
     drift = drift_from_density(rho_fn, sigma)  # refuses sigma <= 0 before it sizes the grid
     half = p["half_width"] or 6.0 * (sigma / math.sqrt(2.0 * omega))
     grid = Grid1D(-half, half, p["n_cells"])
-    def run(out: Path, n_workers: int):
+    def compute(n_workers: int):
         rho0 = DensityField.from_function(grid, rho_fn)
         dt = p["dt"] or stable_dt(drift, sigma, grid)
         output_times = np.linspace(0.0, p["t_final"], p["n_snapshots"])
         times, snaps = fp_solve(rho0, drift, sigma, p["t_final"], dt, output_times)
         names = [f"density_{i:04d}.csv" for i in range(len(times))]
-        for name, field in zip(names, snaps):
-            _write_density(out / name, field)
-        io.write_csv(out / "density_manifest.csv", ["index", "time", "file"],
-                     [np.arange(len(times)), np.asarray(times, dtype=float), names])
+        tables = {name: _density_table(field) for name, field in zip(names, snaps)}
+        tables["density_manifest.csv"] = (["index", "time", "file"], [
+            np.arange(len(times)), np.asarray(times, dtype=float), names])
+        return tables, {"dt_used": float(dt)}
 
-        first = _read_density(out / names[0], grid)
-        last = _read_density(out / names[-1], grid)
-        metrics = {
+    def measure(out: Path):
+        first = _read_density(out / "density_0000.csv", grid)
+        last = _read_density(out / f"density_{p['n_snapshots'] - 1:04d}.csv", grid)
+        return {}, {
             "l1_change": l1_distance(first, last),
             "mass_error": abs(last.mass() - 1.0),
             "boundary_mass": float((last.values[0] + last.values[-1]) * last.grid.dx),
-            "dt_used": float(dt),
         }
-        return metrics, names + ["density_manifest.csv"]
-    return run
+    return compute, measure
 
 
 def _run_mc_fp_xval(cfg: ScenarioConfig):
@@ -438,26 +449,24 @@ def _run_mc_fp_xval(cfg: ScenarioConfig):
         with np.errstate(over="ignore"):  # a subnormal 2 s0**2 gives exp(-inf) = 0
             return np.exp(-((np.asarray(x) - x0) ** 2) / (2.0 * s0 * s0))
 
-    def run(out: Path, n_workers: int):
+    def compute(n_workers: int):
         batch = simulate_ensemble(drift, sde_cfg, n_workers)
         hist, out_frac = histogram_density(batch, -1, grid)
-        rho0 = DensityField.from_function(grid, rho_init)  # refused before any artifact
+        rho0 = DensityField.from_function(grid, rho_init)
         dt_fp = stable_dt(drift, p["sigma"], grid)
-        _write_density(out / "mc_histogram.csv", hist)
         _, snaps = fp_solve(rho0, drift, p["sigma"], p["t_final"], dt_fp)
-        _write_density(out / "fp_density.csv", snaps[-1])
+        return ({"mc_histogram.csv": _density_table(hist),
+                 "fp_density.csv": _density_table(snaps[-1])},
+                {"out_of_range_fraction": float(out_frac)})
 
+    def measure(out: Path):
         a = _read_density(out / "mc_histogram.csv", grid)
         b = _read_density(out / "fp_density.csv", grid)
-        metrics = {
-            "l1_distance": l1_distance(a, b),
-            "out_of_range_fraction": float(out_frac),
-        }
-        return metrics, ["mc_histogram.csv", "fp_density.csv"]
-    return run
+        return {}, {"l1_distance": l1_distance(a, b)}
+    return compute, measure
 
 
-def _write_branch_summary(path, records: PlateRecords) -> None:
+def _branch_table(records: PlateRecords):
     """Per-branch counts, means, and standard deviations."""
     rows = []
     for branch in (UP, DOWN):
@@ -468,8 +477,8 @@ def _write_branch_summary(path, records: PlateRecords) -> None:
         std_z = z.std(ddof=1) if z.size > 1 else 0.0
         std_p = p.std(ddof=1) if p.size > 1 else 0.0
         rows.append((branch, z.size, z.mean(), std_z, p.mean(), std_p))
-    io.write_csv(path, ["branch", "count", "mean_z", "std_z", "mean_p", "std_p"],
-                 [np.array(c) for c in zip(*rows)])
+    return (["branch", "count", "mean_z", "std_z", "mean_p", "std_p"],
+            [np.array(c) for c in zip(*rows)])
 
 
 def _run_stern_gerlach(cfg: ScenarioConfig):
@@ -486,13 +495,14 @@ def _run_stern_gerlach(cfg: ScenarioConfig):
         sigma_z=p["sigma_z"],
         hbar=p["hbar"],
     )
-    def run(out: Path, n_workers: int):
+    def compute(n_workers: int):
         records = simulate_beam(state, beam, p["n"], cfg.seed)
-        io.write_csv(out / "plate.csv", ["index", "branch", "z_final", "p_final"],
-                     [np.arange(len(records)), np.where(records.is_up, UP, DOWN),
-                      records.z_final, records.p_final])
-        _write_branch_summary(out / "branch_summary.csv", records)
+        return {"plate.csv": (["index", "branch", "z_final", "p_final"], [
+                    np.arange(len(records)), np.where(records.is_up, UP, DOWN),
+                    records.z_final, records.p_final]),
+                "branch_summary.csv": _branch_table(records)}, {}
 
+    def measure(out: Path):
         data = io.read_csv(out / "plate.csv", converters={1: lambda s: s == UP})
         rr = PlateRecords(data[:, 1] == 1.0, data[:, 2], data[:, 3])
         z_up, p_up = rr.branch_arrays(UP)
@@ -511,8 +521,8 @@ def _run_stern_gerlach(cfg: ScenarioConfig):
             metrics[f"delta_e_{mode}"] = energy_transition(
                 float(p_dn.mean()), float(p_up.mean()), beam.mass, mode
             ) if both else None
-        return metrics, ["plate.csv", "branch_summary.csv"]
-    return run
+        return {}, metrics
+    return compute, measure
 
 
 def _run_momentum_limit(cfg: ScenarioConfig):
@@ -535,38 +545,35 @@ def _run_momentum_limit(cfg: ScenarioConfig):
         record_every=record_every,
         record_from=(n_rec - n_tail) * record_every,  # store the tail window alone
     )
-    def run(out: Path, n_workers: int):
+    def compute(n_workers: int):
         batch = simulate_ensemble(drift, sde_cfg, n_workers)  # a block of rows per horizon
         estimates = [momentum_estimate(t, x, 1.0, p["variance_threshold"])  # the stored window
                      for t, x in zip(batch.times, np.split(batch.paths, len(batch.times)))]
-        momentum_header = ["horizon", "path", "p_hat", "window_variance", "converged"]
-        io.write_csv(out / "momentum.csv", momentum_header, [
+        header = ["horizon", "path", "p_hat", "window_variance", "converged"]
+        return {"momentum.csv": (header, [
             np.repeat(p["horizons"], n_paths),
             np.tile(np.arange(n_paths), len(estimates)),
             np.concatenate([e.p_hat for e in estimates]),
             np.concatenate([e.window_variance for e in estimates]),
             np.concatenate([e.converged for e in estimates]),
-        ])
+        ])}, {}
 
+    def measure(out: Path):
         table = io.read_csv(out / "momentum.csv", converters={4: lambda s: s == "true"})
         horizons = sorted(set(table[:, 0]))
         sels = [table[table[:, 0] == h] for h in horizons]
         mean_ph = [sel[:, 2].mean() for sel in sels]
         mean_wv = [sel[:, 3].mean() for sel in sels]
-        summary_header = ["horizon", "mean_p_hat", "mean_window_variance", "converged_fraction"]
-        io.write_csv(out / "horizon_summary.csv", summary_header,
-                     [horizons, mean_ph, mean_wv, [sel[:, 4].mean() for sel in sels]])
-        metrics = {
+        summary = (["horizon", "mean_p_hat", "mean_window_variance", "converged_fraction"],
+                   [horizons, mean_ph, mean_wv, [sel[:, 4].mean() for sel in sels]])
+        return {"horizon_summary.csv": summary}, {
             "n_horizons": len(horizons),
             "first_window_variance": float(mean_wv[0]),
             "last_window_variance": float(mean_wv[-1]),
-            "variance_monotone_decreasing": bool(
-                all(a > b for a, b in zip(mean_wv, mean_wv[1:]))
-            ),
+            "variance_monotone_decreasing": all(a > b for a, b in zip(mean_wv, mean_wv[1:])),
             "mean_p_hat_last": float(mean_ph[-1]),
         }
-        return metrics, ["momentum.csv", "horizon_summary.csv"]
-    return run
+    return compute, measure
 
 
 def _tracking_setup(cfg: ScenarioConfig, n_particles: int, target: int):
@@ -597,16 +604,26 @@ def _tracking_setup(cfg: ScenarioConfig, n_particles: int, target: int):
 _TRACKING_COLUMNS = ("t", "e_mean", "e_std", "u")
 
 
-def _tracking_metrics(cfg: ScenarioConfig, out: Path, report, eta_gap):
-    """Write the tracking table and the fit results; the re-read table and shared metrics."""
-    io.write_csv(out / "tracking.csv", _TRACKING_COLUMNS,
-                 [report.times, report.errors, report.error_std, report.control])
-    (out / "tracking_summary.json").write_text(json.dumps({
-        "fitted_decay_rate": report.fitted_decay_rate,
-        "terminal_error": report.terminal_error,
-        "fit_window": list(report.fit_window),
-        "config": cfg.echo(),
-    }, indent=2, sort_keys=True) + "\n")
+def _tracking_compute(cfg: ScenarioConfig, law: ControlLaw, sde_cfg: SdeConfig,
+                      disturbance=None):
+    """The compute stage of a tracking run: the tracking table and the fit results."""
+    def compute(n_workers: int):
+        report = simulate_tracking(law, sde_cfg, disturbance, n_workers)
+        return {
+            "tracking.csv": (_TRACKING_COLUMNS,
+                             [report.times, report.errors, report.error_std, report.control]),
+            "tracking_summary.json": json.dumps({
+                "fitted_decay_rate": report.fitted_decay_rate,
+                "terminal_error": report.terminal_error,
+                "fit_window": list(report.fit_window),
+                "config": cfg.echo(),
+            }, indent=2, sort_keys=True) + "\n",
+        }, {}
+    return compute
+
+
+def _tracking_metrics(cfg: ScenarioConfig, out: Path, eta_gap):
+    """The re-read tracking table and the metrics both tracking scenarios report."""
     table = dict(zip(_TRACKING_COLUMNS, io.read_csv(out / "tracking.csv").T))
     fit = json.loads((out / "tracking_summary.json").read_text())
     omega, e0 = cfg.parameters["omega"], cfg.parameters["e0"]
@@ -627,38 +644,32 @@ def _run_track_particle(cfg: ScenarioConfig):
     p = cfg.parameters
     reference, sde_cfg = _tracking_setup(cfg, 1, target=1000)
     eta, eta_hat = p["eta"], p["eta_hat"]
-    law = ControlLaw(
-        omega=p["omega"], reference=reference, eta_hat=lambda t: eta_hat
-    )
-    def run(out: Path, n_workers: int):
-        report = simulate_tracking(law, sde_cfg, lambda t: eta, n_workers)
-        _, metrics = _tracking_metrics(cfg, out, report, eta - eta_hat)
-        return metrics, ["tracking.csv", "tracking_summary.json"]
-    return run
+    law = ControlLaw(omega=p["omega"], reference=reference, eta_hat=lambda t: eta_hat)
+
+    def measure(out: Path):
+        return {}, _tracking_metrics(cfg, out, eta - eta_hat)[1]
+    return _tracking_compute(cfg, law, sde_cfg, lambda t: eta), measure
 
 
 def _run_track_ensemble(cfg: ScenarioConfig):
     p = cfg.parameters
     reference, sde_cfg = _tracking_setup(cfg, p["n_particles"], target=100)
-    law = ControlLaw(p["omega"], reference)
-    def run(out: Path, n_workers: int):
-        report = simulate_tracking(law, sde_cfg, n_workers=n_workers)
-        table, base = _tracking_metrics(cfg, out, report, 0.0)
-        metrics = {
+
+    def measure(out: Path):
+        table, base = _tracking_metrics(cfg, out, 0.0)
+        return {}, {
             "terminal_mean_error": base["terminal_error"],
             "expected_terminal_error": base["expected_terminal_error"],
             "clt_band": 3.0 * p["sigma"] / math.sqrt(p["n_particles"]),
-            "terminal_error_variance": (
-                float(table["e_std"][-1] ** 2) if p["n_particles"] > 1 else None
-            ),
+            "terminal_error_variance":
+                float(table["e_std"][-1] ** 2) if p["n_particles"] > 1 else None,
             "stationary_error_variance": check_overflow(
                 "closed-form stationary error variance",
                 p["sigma"] * p["sigma"] / (2.0 * p["omega"]),
             ),
             "fitted_decay_rate": base["fitted_decay_rate"],
         }
-        return metrics, ["tracking.csv", "tracking_summary.json"]
-    return run
+    return _tracking_compute(cfg, ControlLaw(p["omega"], reference), sde_cfg), measure
 
 
 # --------------------------------------------------------------------------

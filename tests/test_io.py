@@ -11,7 +11,7 @@ from spinmech import io
 from spinmech.control import ControlLaw, ReferenceTrajectory, simulate_tracking
 from spinmech.errors import InvalidInputError
 from spinmech.fokker_planck import DensityField, Grid1D, l1_distance
-from spinmech.scenarios import _read_density, _write_density, parse_config, run_scenario
+from spinmech.scenarios import _density_table, _read_density, parse_config, run_scenario
 from spinmech.sde import DriftSpec, SdeConfig, simulate_ensemble
 from spinmech.spin import Spinor
 from spinmech.stern_gerlach import BeamConfig, simulate_beam
@@ -117,7 +117,7 @@ def test_density_round_trip(tmp_path):
     grid = Grid1D(-2.0, 2.0, 32)
     field = DensityField.from_function(grid, lambda x: np.exp(-np.asarray(x) ** 2))
     path = tmp_path / "rho.csv"
-    _write_density(path, field)
+    io.write_csv(path, *_density_table(field))
     assert path.read_text().splitlines()[0] == "x,rho"
     back = _read_density(path, grid)
     assert back.grid == grid
@@ -138,7 +138,7 @@ def test_density_round_trip_compares_with_the_original(
     v = np.random.default_rng(seed).random(n_cells) + 1e-3
     field = DensityField(grid, v / (v.sum() * grid.dx))
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
-    _write_density(path, field)
+    io.write_csv(path, *_density_table(field))
     back = _read_density(path, grid)
     assert back.grid == grid
     assert np.array_equal(back.values, field.values)
@@ -151,7 +151,7 @@ def test_density_round_trip_compares_with_the_original(
 ])
 def test_density_from_another_grid_is_refused(tmp_path, other):
     grid = Grid1D(0.0, 1.0, 32)
-    _write_density(tmp_path / "rho.csv", DensityField(grid, np.ones(32)))
+    io.write_csv(tmp_path / "rho.csv", *_density_table(DensityField(grid, np.ones(32))))
     with pytest.raises(InvalidInputError, match="cell centers"):
         _read_density(tmp_path / "rho.csv", other)
 

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+import shutil
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -8,13 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinmech import cli, scenarios
+from spinmech import cli, io, scenarios
 from spinmech.errors import ConfigurationError, InvalidInputError
 from spinmech.fokker_planck import DensityField, Grid1D
 from spinmech.scenarios import (
     REGISTRY,
     _auto_record,
-    _write_density,
+    _density_table,
     list_scenarios,
     parse_config,
     run_scenario,
@@ -118,10 +121,50 @@ class TestReproducibility:
 
 
 class TestRunSummary:
-    def test_artifact_list_matches_directory_exactly(self, tmp_path):
-        summary = run_text(SMALL_SG, tmp_path)
-        on_disk = {p.name for p in tmp_path.iterdir() if p.is_file()}
-        assert set(summary.artifacts) == on_disk
+    @pytest.mark.parametrize("scenario", sorted(SMALL_PARAMS))
+    def test_artifact_list_matches_directory_exactly(self, tmp_path, scenario):
+        summary = run_scenario(parse_config(small_config(scenario, tmp_path)))
+        assert sorted(summary.artifacts) == sorted(p.name for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scenario", sorted(SMALL_PARAMS))
+    def test_measure_needs_only_the_directory(self, tmp_path, scenario):
+        a, b = tmp_path / "a", tmp_path / "b"
+        cfg = parse_config(small_config(scenario, a))
+        summary = run_scenario(cfg)
+        tables, computed = REGISTRY[scenario].runner(cfg)[0](1)
+        b.mkdir()
+        for name in tables:  # only what compute wrote
+            shutil.copyfile(a / name, b / name)
+        derived, measured = REGISTRY[scenario].runner(cfg)[1](b)  # a setup that computed nothing
+        assert measured == {k: v for k, v in summary.metrics.items() if k not in computed}
+        assert sorted(p.name for p in b.iterdir()) == sorted(tables)  # measure writes nothing
+        for name, (header, columns) in derived.items():
+            io.write_csv(tmp_path / name, header, columns)
+            assert (tmp_path / name).read_bytes() == (a / name).read_bytes(), name
+        assert summary.artifacts == [*tables, *derived, "summary.txt"]
+
+    @pytest.mark.parametrize("change,drift", [
+        (lambda m: {k: v for k, v in m.items() if k != "l1_change"}, "missing {'l1_change'}"),
+        (lambda m: {**m, "spare": 1.0}, "extra {'spare'}"),
+        (lambda m: {**m, "dt_used": 0.5}, "reported by both stages {'dt_used'}"),
+        (lambda m: {**m, "l1_change": math.inf}, "non-finite {'l1_change': inf}"),
+    ], ids=["missing", "extra", "both-stages", "non-finite"])
+    def test_metric_set_drift_fails_before_the_summary(self, tmp_path, monkeypatch, change, drift):
+        cfg = parse_config(small_config("fp_stationary", tmp_path))
+        spec = REGISTRY["fp_stationary"]
+
+        def runner(cfg):
+            compute, measure = spec.runner(cfg)
+
+            def changed(out):
+                tables, metrics = measure(out)
+                return tables, change(metrics)
+            return compute, changed
+
+        monkeypatch.setitem(REGISTRY, "fp_stationary", replace(spec, runner=runner))
+        with pytest.raises(AssertionError, match=re.escape(drift)):
+            run_scenario(cfg)
+        assert not (tmp_path / "summary.txt").exists()
 
     def test_metric_set_matches_documented_set(self, tmp_path):
         summary = run_text(SMALL_OU, tmp_path)
@@ -363,24 +406,18 @@ class TestCli:
         assert cli.main(["run", cfg]) == cli.EXIT_OK
         assert "  n_modes = 1\n" in capsys.readouterr().out
 
-    def test_numeric_failure_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scenario,changes", [
         # dt far beyond the explicit-Euler stability limit blows the plant up
-        text = f"""
-[scenario]
-name = track_particle
-seed = 1
-
-[parameters]
-omega = 1.0
-t_final = 150
-dt = 3.0
-
-[output]
-dir = {tmp_path / "out"}
-"""
-        cfg = self._write(tmp_path, text)
+        ("track_particle", {"omega": 1.0, "t_final": 150, "dt": 3.0}),
+        ("ou_relax", {"sigma": 1e20}),  # the first step leaves the overflow bound
+        ("stern_gerlach", {"grad_bz": -1e300}),  # the plate hits lie beyond it
+    ])
+    def test_numeric_failure_exit_3(self, tmp_path, capsys, scenario, changes):
+        out = tmp_path / "out"
+        cfg = self._write(tmp_path, small_config(scenario, out, **changes))
         assert cli.main(["run", cfg]) == cli.EXIT_NUMERIC
         assert "numerical failure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "scenario,params,bad",
@@ -690,7 +727,7 @@ dir = {tmp_path / "out"}
         initial = DensityField.from_function(
             grid, lambda x: np.exp(-((x - 1.0) ** 2) / (2.0 * s0 * s0))
         )
-        _write_density(tmp_path / "initial.csv", initial)
+        io.write_csv(tmp_path / "initial.csv", *_density_table(initial))
         density = (tmp_path / "mc" / "fp_density.csv").read_bytes()
         assert density != (tmp_path / "initial.csv").read_bytes()
 

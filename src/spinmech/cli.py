@@ -9,12 +9,15 @@ Subcommands::
 Exit codes: 0 success, 2 configuration problems, 3 numerical failures,
 4 I/O failures.  ``--seed`` and ``--out`` override the config file and are
 read by its rules, as is the integer ``--threads``, which never changes results.
+A warning is printed to stderr as one line, ``warning: <message>``, without
+the source file and line that raised it.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .config import apply_overrides, read_flag
@@ -50,7 +53,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():  # restores the caller's display on return
+        warnings.showwarning = _show_warning
+        return _main(argv)
+
+
+def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-scenarios":

@@ -9,9 +9,11 @@ bit for bit.
 
 :func:`particle_stream` keys every stream one way: it sets the whole Philox
 state -- counter, output buffer and cached 32-bit half -- to that of a fresh
-``Philox(key=(seed, i))``.  Building a ``Generator`` costs far more than the
-few draws a particle makes, so a chunk drawn in one step block re-keys one
-generator per particle; several step blocks keep one per particle alive.
+``Philox(key=(seed, i))``, so a re-keyed stream draws exactly what a fresh
+one draws.  Building a ``Generator`` costs over ten times as much as
+re-keying one, so each ensemble worker builds one pool of generators, one
+per stream of its widest chunk, keeps a chunk's streams alive across its
+step blocks and re-keys the pool chunk by chunk.
 """
 
 from __future__ import annotations

@@ -39,8 +39,11 @@ from .rng import particle_stream
 #: Paths whose |x| crosses this bound abort with an overflow error.
 OVERFLOW_LIMIT = 1e12
 
-#: Bound on the bytes of one chunk's noise block, unless one stream's full row exceeds it.
-_CHUNK_NOISE_BYTES = 64 * 1024 * 1024
+#: Bound on the bytes of a worker's noise block; it sets the depth of the step blocks.
+_CHUNK_NOISE_BYTES = 24 * 1024 * 1024
+
+#: The most streams in one chunk; the chunks of an ensemble have equal widths.
+_CHUNK_STREAMS = 2048
 
 #: Streams whose normals are drawn into contiguous rows before one transpose.
 _TILE = 16
@@ -195,9 +198,15 @@ class TrajectoryBatch:
         return self.paths.var(axis=0, ddof=1)
 
 
-def _em_update(x, drift, t, dt, dw):
-    """The Euler-Maruyama update ``x + b(x, t) dt + dw``."""
-    return x + drift(x, t) * dt + dw
+def _em_update(x, drift, t, dt, dw, out=None):
+    """The Euler-Maruyama update ``x + b(x, t) dt + dw``, written into ``out`` if given.
+
+    It adds ``x`` to ``b dt`` and then ``dw``; IEEE addition commutes, so the
+    bits and signs of zero are those of ``x + b dt + dw``.
+    """
+    nxt = np.multiply(drift(x, t), dt, out=out)
+    nxt = np.add(nxt, x, out=out)
+    return np.add(nxt, dw, out=out)
 
 
 def euler_maruyama_step(x, drift: DriftSpec, t: float, dt: float, dw):
@@ -211,59 +220,59 @@ def euler_maruyama_step(x, drift: DriftSpec, t: float, dt: float, dw):
     return float(out) if out.ndim == 0 else out
 
 
-def _streams(cfg, lo, m, x, rekey):
-    """Streams ``lo .. lo + m - 1`` after their ``x0`` draws; one re-keyed object if ``rekey``."""
-    gen = None
-    for i in range(m):
-        gen = particle_stream(cfg.seed, lo + i, gen if rekey else None)
-        if callable(cfg.x0):
-            x[:, i] = cfg.x0(gen)
-        yield gen
+def _run_range(drift, cfg, lo, hi, paths, gens, noise):
+    """Simulate streams [lo, hi) of every step-size group on a worker's ``gens`` and ``noise``.
 
-
-def _run_range(drift, cfg, lo, hi, paths, fit):
-    """Simulate streams [lo, hi) of every step-size group: draw, then step.
-
-    The ``G`` groups share each stream's ``x0`` and normals, drawn in
-    ``max(G, ceil(m / fit))`` step blocks (one re-keys a generator per stream;
-    several keep the streams alive), ``_TILE`` streams at a time into contiguous
-    rows that one transpose makes step-major; group ``g`` scales them by ``sigma * sqrt(dt[g])``.
-    Step ``cfg.record_from + j * cfg.record_every`` is stored in column ``j``.
+    ``gens[i]`` is re-keyed to stream ``lo + i`` and draws its ``x0``, then
+    its normals one step block (the depth of ``noise``) at a time, ``_TILE``
+    streams into contiguous rows that one transpose makes step-major.  The
+    ``G`` groups share them: one group scales them by ``sigma * sqrt(dt)`` in
+    the tile, several scale each step's row by group.  The step runs in
+    place.  Step ``cfg.record_from + j * cfg.record_every`` is stored in
+    column ``j``.
     """
     G, m = len(cfg.step_sizes), hi - lo
     dt = cfg.step_sizes[0] if G == 1 else np.array(cfg.step_sizes, dtype=float)[:, None]
     with np.errstate(over="ignore"):  # an infinite scale fails the first step's bound check
         sdt = cfg.sigma * np.sqrt(dt)
     draw, sampled = bool(np.any(sdt != 0.0)), callable(cfg.x0)
-    signed_zero = draw and not np.all(sdt != 0.0)
-    x = x_start = np.empty((G, m)) if sampled else np.full((G, m), cfg.x0, dtype=float)
-    block = -(-cfg.n_steps // max(G, -(-m // fit)))
-    streams = _streams(cfg, lo, m, x, rekey=block == cfg.n_steps) if sampled or draw else ()
-    streams = streams if block == cfg.n_steps and draw else list(streams)  # else drawn as set up
-    raw, tile = np.empty((block, m)), np.empty((min(_TILE, m), block))
+    quiet = np.flatnonzero(sdt == 0.0).tolist()  # the groups whose noise scale is zero
+    x = np.empty((G, m)) if sampled else np.full((G, m), cfg.x0, dtype=float)
+    for i in range(m if sampled or draw else 0):
+        gens[i] = particle_stream(cfg.seed, lo + i, gens[i])
+        if sampled:
+            x[:, i] = cfg.x0(gens[i])
     rows = paths.reshape(G, -1, paths.shape[1])[:, lo:hi]  # group g's rows of streams lo..hi
-    for k0 in range(0, cfg.n_steps, block):
-        nb, gens = min(block, cfg.n_steps - k0), iter(streams)
-        for a in range(0, m if draw else 0, _TILE):
-            tiled = tile[:min(_TILE, m - a), :nb]
-            for row, gen in zip(tiled, gens):
-                gen.standard_normal(nb, out=row)
-            raw[:nb, a:a + len(tiled)] = tiled.T
-        with np.errstate(over="ignore", invalid="ignore"):  # the bound check raises instead
+    if cfg.record_from == 0:
+        rows[:, :, 0] = x
+    depth = len(noise)
+    raw, tile = noise[:, :m], np.empty((min(_TILE, m), depth))
+    nxt, dw, scratch = np.empty((G, m)), np.empty((G, m)), np.empty((G, m))
+    with np.errstate(over="ignore", invalid="ignore"):  # the bound check raises instead
+        for k0 in range(0, cfg.n_steps, depth):
+            nb = min(depth, cfg.n_steps - k0)
+            for a in range(0, m if draw else 0, _TILE):
+                tiled = tile[:min(_TILE, m - a), :nb]
+                for row, gen in zip(tiled, gens[a:a + len(tiled)]):
+                    gen.standard_normal(nb, out=row)
+                if G == 1:
+                    tiled *= sdt  # in the contiguous tile: a strided product would buffer
+                raw[:nb, a:a + len(tiled)] = tiled.T
             for k in range(k0, k0 + nb):
-                dw = sdt * raw[k - k0] if draw else 0.0
-                if signed_zero:
-                    dw += 0.0  # a zero scale adds +0.0, as an undrawn step does
-                x = _em_update(x, drift, cfg.t0 + k * dt, dt, dw)
-                if not np.abs(x).max() <= OVERFLOW_LIMIT:  # a NaN max fails too
-                    g, i = divmod(int(np.argmax(~(np.abs(x) <= OVERFLOW_LIMIT))), m)
+                step_dw = raw[k - k0] if draw else 0.0
+                if draw and G > 1:
+                    step_dw = np.multiply(sdt, step_dw, out=dw)
+                    for g in quiet:
+                        dw[g] = 0.0  # a zero scale adds +0.0, as an undrawn step does
+                _em_update(x, drift, cfg.t0 + k * dt, dt, step_dw, out=nxt)
+                x, nxt = nxt, x
+                if not np.abs(x, out=scratch).max() <= OVERFLOW_LIMIT:  # a NaN max fails too
+                    g, i = divmod(int(np.argmax(~(scratch <= OVERFLOW_LIMIT))), m)
                     raise NumericalOverflowError(
                         f"particle {g * (paths.shape[0] // G) + lo + i} overflowed at step "
                         f"{k + 1} (x={x[g, i]!r}, |x| bound {OVERFLOW_LIMIT:g})")
                 if (k + 1) % cfg.record_every == 0 and k + 1 >= cfg.record_from:
                     rows[:, :, (k + 1 - cfg.record_from) // cfg.record_every] = x
-    if cfg.record_from == 0:  # complete once the first block has drawn every x0
-        rows[:, :, 0] = x_start
 
 
 def simulate_ensemble(
@@ -273,26 +282,40 @@ def simulate_ensemble(
 
     Results are identical for any ``n_workers`` because every particle's
     noise comes from its own ``(seed, particle)`` stream and the update is
-    elementwise.  A chunk, with every step size, holds the streams whose
-    full-length noise fits ``_CHUNK_NOISE_BYTES``, at least 256 and at most
-    16384.  Chunks run on a thread pool only with ``n_workers > 1`` and more
-    than one chunk; otherwise they run on the calling thread, so a serial run
-    neither imports nor starts a pool and a per-thread profiler sees all its work.
+    elementwise.  The ``n`` streams of each step size run, with every step
+    size, in ``ceil(n / _CHUNK_STREAMS)`` chunks of equal width.  A worker
+    runs a contiguous share of the chunks on one generator pool, re-keyed
+    chunk by chunk, and one noise block of ``width`` streams by
+    ``min(n_steps, _CHUNK_NOISE_BYTES // (8 G width))`` steps, so its noise
+    stays within that budget however long the run.  Chunks run on a thread
+    pool only with ``n_workers > 1`` and more than one chunk; otherwise they
+    run on the calling thread, so a serial run neither imports nor starts a
+    pool and a per-thread profiler sees all its work.  The lowest chunk that
+    overflows is reported, as in a serial run.
     """
     check_int("n_workers", n_workers, 1)
     times = cfg.recorded_times()
     paths = np.empty((cfg.n_particles, times.shape[-1]))
-    n = cfg.n_particles // len(cfg.step_sizes)
-    fit = max(1, _CHUNK_NOISE_BYTES // (8 * cfg.n_steps))  # full-length streams in the budget
-    chunk = max(256, min(fit, 16384, n))
-    ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-    if n_workers > 1 and len(ranges) > 1:
+    G = len(cfg.step_sizes)
+    n = cfg.n_particles // G
+    width = -(-n // -(-n // _CHUNK_STREAMS))
+    depth = min(cfg.n_steps, max(1, _CHUNK_NOISE_BYTES // (8 * G * width)))
+    ranges = [(lo, min(lo + width, n)) for lo in range(0, n, width)]
+    workers = min(n_workers, len(ranges))
+    shares = [ranges[w * len(ranges) // workers:(w + 1) * len(ranges) // workers]
+              for w in range(workers)]
+
+    def run(share):  # one worker: its noise block is allocated and freed once, not per chunk
+        gens, noise = [None] * width, np.empty((depth, width))
+        for lo, hi in share:
+            _run_range(drift, cfg, lo, hi, paths, gens, noise)
+
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda r: _run_range(drift, cfg, *r, paths, fit), ranges))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, shares))
     else:
-        for lo, hi in ranges:
-            _run_range(drift, cfg, lo, hi, paths, fit)
+        run(ranges)
     return TrajectoryBatch(times=times, paths=paths)
 
 

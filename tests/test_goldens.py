@@ -4,7 +4,7 @@
 ``scripts/regen_goldens.py`` produces; a change that moves any byte fails
 here until the file is regenerated and the change is explained.  The same
 digests must come out of a serial run with the default chunks and of a
-two-thread run with 256-particle chunks drawn in many step blocks.
+two-thread run with chunks of at most 64 streams drawn in many step blocks.
 """
 
 import importlib.util
@@ -24,11 +24,16 @@ def _load_script():
     return module
 
 
-@pytest.mark.parametrize("n_workers, chunk_bytes", [
-    (1, sde._CHUNK_NOISE_BYTES),
-    (2, 0),  # 256-particle chunks of many step blocks: mc_fp_xval and track_ensemble span several
+@pytest.mark.parametrize("n_workers, chunk_streams, chunk_bytes", [
+    (1, sde._CHUNK_STREAMS, sde._CHUNK_NOISE_BYTES),
+    # chunks of at most 64 streams in blocks of at least 48 steps (30 at momentum_limit's
+    # two step sizes): each worker runs several chunks of mc_fp_xval, ou_relax and
+    # track_ensemble, and every ensemble chunk draws in several blocks
+    (2, 64, 8 * 64 * 48),
 ], ids=["serial", "threaded-small-chunks"])
-def test_artifact_digests_match_goldens(tmp_path, monkeypatch, n_workers, chunk_bytes):
+def test_artifact_digests_match_goldens(tmp_path, monkeypatch, n_workers, chunk_streams,
+                                        chunk_bytes):
+    monkeypatch.setattr(sde, "_CHUNK_STREAMS", chunk_streams)
     monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", chunk_bytes)
     regen = _load_script()
     expected = regen.GOLDEN_FILE.read_text().splitlines()

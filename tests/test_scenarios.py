@@ -3,6 +3,7 @@ import math
 import re
 import shutil
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -387,6 +388,18 @@ class TestCli:
             f"  - {flag}: expected an integer, got '{value}'",
         ]
         assert not (tmp_path / "out").exists()
+
+    def test_a_warning_is_one_line_without_its_source(self, tmp_path, capsys):
+        # a Gaussian of standard deviation 0.71 on [-1, 1] leaves mass in the edge cells
+        shown = warnings.showwarning
+        cfg = self._write(tmp_path, small_config("fp_stationary", tmp_path / "out",
+                                                 half_width=1.0))
+        assert cli.main(["run", cfg]) == cli.EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: boundary mass 0.0695 exceeds 1e-06; the domain is too narrow for "
+            "reflecting boundaries to be neutral"
+        ]
+        assert warnings.showwarning is shown
 
     def test_output_dir_that_is_a_file_exit_4(self, tmp_path, capsys):
         taken = tmp_path / "taken"

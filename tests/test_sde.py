@@ -13,6 +13,7 @@ from scipy.optimize import brentq
 import spinmech
 from spinmech import sde
 from spinmech.errors import InvalidInputError, NumericalOverflowError
+from spinmech.rng import particle_stream
 from spinmech.sde import (
     DriftSpec,
     SdeConfig,
@@ -44,8 +45,25 @@ def _same_bits(a, b):
 
 
 def _blow_up_in_last_chunk(x, t):
-    """Pushes particle 7 of the 88-particle third chunk (of 600) past the bound."""
-    return np.where(np.arange(x.size) == 7, 3e12, 0.0) if x.size == 88 else -x
+    """Pushes particle 7 of the 1666-particle third chunk (of 5000) past the bound."""
+    return np.where(np.arange(x.size) == 7, 3e12, 0.0) if x.size == 1666 else -x
+
+
+def _blow_up_in_every_chunk(x, t):
+    """Pushes particle 7 of each chunk past the bound: at step 1 in the last, step 5 in the rest."""
+    late = x.size == 1667 and t < 4.0
+    return -x if late else np.where(np.arange(x.size) == 7, 3e12, 0.0)
+
+
+def _pool_bytes(width):
+    """The traced bytes of a pool of ``width`` generators."""
+    particle_stream(0, 0)  # the first build imports what every later one uses
+    tracemalloc.start()
+    try:
+        gens = [particle_stream(0, i) for i in range(width)]  # noqa: F841, alive while measured
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 class TestDriftSpec:
@@ -255,29 +273,37 @@ class TestSimulateEnsemble:
         assert np.array_equal(b1.paths, b2.paths)
         assert np.array_equal(b1.times, b2.times)
 
-    @pytest.mark.parametrize("fit", [0, 256], ids=["many-blocks", "one-block"])
-    def test_worker_count_does_not_change_results(self, monkeypatch, fit):
+    @pytest.mark.parametrize("depth", [7, 1000], ids=["many-blocks", "one-block"])
+    def test_worker_count_does_not_change_results(self, monkeypatch, depth):
         cfg = ou_cfg(n_particles=700)
-        # three chunks of at most 256 streams, each drawn in many step blocks or in one
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * fit)
+        # three chunks of 234, 233 and 233 streams, each drawn in 143 step blocks or in one
+        monkeypatch.setattr(sde, "_CHUNK_STREAMS", 256)
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * 234 * depth)
         serial = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers=1)
         threaded = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers=4)
         assert np.array_equal(serial.paths, threaded.paths)
 
-    def test_noise_stays_within_the_budget(self, monkeypatch):
-        # The 256-stream chunk floor holds about 3x the 83 full-length streams
-        # that the budget fits, so the chunk draws in 4 blocks of 25 000 steps.
-        cfg = SdeConfig(dt=1e-3, n_steps=100_000, sigma=1.0, n_particles=256, seed=1,
-                        x0=1.0, record_every=10_000)
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_noise_stays_within_the_budget(self, monkeypatch, n_workers):
+        # Four 256-stream chunks of 2048 steps: a chunk's full-length noise is
+        # 4x the 1 MiB budget, so each chunk draws in 4 blocks of 512 steps.
+        monkeypatch.setattr(sde, "_CHUNK_STREAMS", 256)
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 1 << 20)
+        cfg = SdeConfig(dt=1e-3, n_steps=2048, sigma=1.0, n_particles=1024, seed=1,
+                        x0=1.0, record_every=512)
+        pool = _pool_bytes(256)  # each worker's generators, one per stream of a chunk
+        simulate_ensemble(DriftSpec.linear(1.0), replace(cfg, n_steps=1, record_every=1),
+                          n_workers)  # imports the thread pool before the count starts
         tracemalloc.start()
         try:
-            batch = simulate_ensemble(DriftSpec.linear(1.0), cfg)
+            batch = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tile = 8 * sde._TILE * cfg.n_steps // 4
-        assert peak < sde._CHUNK_NOISE_BYTES + batch.paths.nbytes + tile
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * cfg.n_particles)
+        tile, state = 8 * sde._TILE * 512, 4 * 8 * 256  # x, its next step, dw, guard scratch
+        per_worker = sde._CHUNK_NOISE_BYTES + tile + pool + state + (16 << 10)  # + small objects
+        assert peak <= n_workers * per_worker + batch.paths.nbytes
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * 256)
         one_block = simulate_ensemble(DriftSpec.linear(1.0), cfg)
         assert np.array_equal(batch.paths, one_block.paths)
 
@@ -293,30 +319,36 @@ class TestSimulateEnsemble:
         assert np.array_equal(b1.paths, b2.paths)
         assert b1.paths[:, 0].std() > 0.5  # the sampler actually ran
 
-    @pytest.mark.parametrize("fit", [0, 256], ids=["many-blocks", "one-block"])
+    @pytest.mark.parametrize("drift", [DriftSpec.linear(1.3), DriftSpec(lambda x, t: x)],
+                             ids=["linear", "returns-its-input"])
+    @pytest.mark.parametrize("dt", [1e-3, (1e-3, 0.02, 0.3)], ids=["G=1", "G=3"])
+    @pytest.mark.parametrize("depth", [1, 40], ids=["many-blocks", "one-block"])
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_equals_fresh_per_particle_streams(self, monkeypatch, n_workers, fit):
+    def test_equals_fresh_per_particle_streams(self, monkeypatch, n_workers, depth, dt, drift):
         # Oracle: a newly built Philox generator per particle, sampler first.
+        n = 230
         cfg = ou_cfg(
-            n_particles=700, n_steps=40, sigma=0.7, seed=-9,
+            dt=dt, n_particles=len(np.atleast_1d(dt)) * n, n_steps=40, sigma=0.7, seed=-9,
             x0=lambda gen: 2.0 * gen.standard_normal() + gen.random(),
         )
-        # 256-stream chunks of one-step blocks (live streams) or of one block (re-keyed)
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * fit)
-        batch = simulate_ensemble(DriftSpec.linear(1.3), cfg, n_workers=n_workers)
-        sdt = cfg.sigma * math.sqrt(cfg.dt)
-        x = np.empty(cfg.n_particles)
-        noise = np.empty((cfg.n_steps, cfg.n_particles))
-        for i in range(cfg.n_particles):
+        # four chunks of 58, 58, 58 and 56 streams: a worker's pool is re-keyed chunk by chunk
+        monkeypatch.setattr(sde, "_CHUNK_STREAMS", 64)
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * len(cfg.step_sizes) * 58 * depth)
+        batch = simulate_ensemble(drift, cfg, n_workers=n_workers)
+        x0 = np.empty(n)
+        normals = np.empty((cfg.n_steps, n))
+        for i in range(n):
             key = np.array([cfg.seed & (2**64 - 1), i], dtype=np.uint64)
             gen = np.random.Generator(np.random.Philox(key=key))
-            x[i] = cfg.x0(gen)
-            noise[:, i] = sdt * gen.standard_normal(cfg.n_steps)
-        expected = [x]
-        for k in range(cfg.n_steps):
-            x = x + (-1.3 * x) * cfg.dt + noise[k]
-            expected.append(x)
-        assert np.array_equal(batch.paths, np.array(expected).T)
+            x0[i] = cfg.x0(gen)
+            normals[:, i] = gen.standard_normal(cfg.n_steps)
+        for g, h in enumerate(cfg.step_sizes):
+            x, sdt = x0, cfg.sigma * math.sqrt(h)
+            expected = [x]
+            for k in range(cfg.n_steps):
+                x = x + drift(x, k * h) * h + sdt * normals[k]
+                expected.append(x)
+            assert np.array_equal(batch.paths[g * n:(g + 1) * n], np.array(expected).T)
 
     @pytest.mark.parametrize("n_paths, n_steps", [(40, 30), (600, 90)], ids=["one-chunk", "3-chunks"])
     @pytest.mark.parametrize("n_workers", [1, 2])
@@ -326,8 +358,9 @@ class TestSimulateEnsemble:
     def test_stacked_step_sizes_equal_separate_runs(
         self, monkeypatch, x0, sigma, n_workers, n_paths, n_steps
     ):
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-stream chunks, many step blocks
-        dts = (0.01, 0.1, 1.0)  # at least 3 step blocks
+        monkeypatch.setattr(sde, "_CHUNK_STREAMS", 256)  # 600 paths: 3 chunks of 200
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # one-step blocks
+        dts = (0.01, 0.1, 1.0)
         drift = DriftSpec.time_scaled()
         base = dict(n_steps=n_steps, sigma=sigma, seed=4, x0=x0, t0=1.0, record_every=3)
         stacked = simulate_ensemble(
@@ -347,7 +380,8 @@ class TestSimulateEnsemble:
     def test_a_window_is_the_tail_of_the_full_record(
         self, monkeypatch, x0, dt, n_workers, record_from
     ):
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-stream chunks, many step blocks
+        monkeypatch.setattr(sde, "_CHUNK_STREAMS", 256)  # 600 or 1800 paths: 3 or 8 chunks
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # one-step blocks
         cfg = SdeConfig(dt=dt, n_steps=90, sigma=1.0, n_particles=3 * 600, seed=4, x0=x0,
                         t0=1.0, record_every=3)
         drift = DriftSpec.time_scaled()
@@ -379,15 +413,20 @@ class TestSimulateEnsemble:
                              env=dict(os.environ, PYTHONPATH=src), check=True)
         assert out.stdout.strip() == "False"
 
-    def test_zero_scaled_step_size_adds_positive_zero(self):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_zero_scaled_step_size_adds_positive_zero(self, monkeypatch, n_workers):
         # sigma * sqrt(0.25) underflows to 0 while sigma * sqrt(4.0) does not:
         # that group must step as an undrawn run does, adding +0.0 rather than 0.0 * z.
+        monkeypatch.setattr(sde, "_CHUNK_STREAMS", 8)  # 20 paths: chunks of 7, 7 and 6
         drift = DriftSpec(lambda x, t: x)  # keeps x = -0.0 at -0.0 before the noise
         base = dict(n_steps=4, sigma=5e-324, seed=2, x0=-0.0)
-        stacked = simulate_ensemble(drift, SdeConfig(dt=(4.0, 0.25), n_particles=40, **base))
-        quiet = simulate_ensemble(drift, SdeConfig(dt=0.25, n_particles=20, **base))
+        stacked = simulate_ensemble(drift, SdeConfig(dt=(4.0, 0.25), n_particles=40, **base),
+                                    n_workers)
+        quiet = simulate_ensemble(drift, SdeConfig(dt=0.25, n_particles=20, **base), n_workers)
+        loud = simulate_ensemble(drift, SdeConfig(dt=4.0, n_particles=20, **base), n_workers)
         assert not np.signbit(quiet.paths[:, 1:]).any()
         assert _same_bits(stacked.paths[20:], quiet.paths)
+        assert _same_bits(stacked.paths[:20], loud.paths)
 
     @pytest.mark.parametrize("dt", [9e268, (9e268, 1e269)])
     def test_an_infinite_noise_scale_fails_the_bound_check(self, dt):
@@ -414,7 +453,7 @@ class TestSimulateEnsemble:
         assert np.all(batch.paths[:, 0] == 1.0)
         assert np.all(batch.paths == batch.paths[0])
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("drift, n_particles, message", [
         (DriftSpec.linear(-40.0), 4,
          "particle 0 overflowed at step 8 (x=np.float64(7984925229121.0), |x| bound 1e+12)"),
@@ -422,13 +461,12 @@ class TestSimulateEnsemble:
          "particle 3 overflowed at step 1 (x=np.float64(nan), |x| bound 1e+12)"),
         (DriftSpec(_at(2, -np.inf)), 4,
          "particle 2 overflowed at step 1 (x=np.float64(-inf), |x| bound 1e+12)"),
-        (DriftSpec(_blow_up_in_last_chunk), 600,
-         "particle 519 overflowed at step 1 (x=np.float64(3000000000001.0), |x| bound 1e+12)"),
-    ], ids=["finite", "nan", "-inf", "third-chunk"])
-    def test_overflow_reports_particle_and_step(
-        self, monkeypatch, drift, n_particles, message, n_workers
-    ):
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 0)  # 256-stream chunks
+        (DriftSpec(_blow_up_in_last_chunk), 5000,
+         "particle 3341 overflowed at step 1 (x=np.float64(3000000000001.0), |x| bound 1e+12)"),
+        (DriftSpec(_blow_up_in_every_chunk), 5000,
+         "particle 7 overflowed at step 5 (x=np.float64(3000000000000.0), |x| bound 1e+12)"),
+    ], ids=["finite", "nan", "-inf", "third-chunk", "lowest-chunk"])
+    def test_overflow_reports_particle_and_step(self, drift, n_particles, message, n_workers):
         cfg = SdeConfig(
             dt=1.0, n_steps=60, sigma=0.0, n_particles=n_particles, seed=1, x0=1.0
         )

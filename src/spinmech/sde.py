@@ -226,9 +226,8 @@ def _run_range(drift, cfg, lo, hi, paths, gens, noise):
     ``gens[i]`` is re-keyed to stream ``lo + i`` and draws its ``x0``, then
     its normals one step block (the depth of ``noise``) at a time, ``_TILE``
     streams into contiguous rows that one transpose makes step-major.  The
-    ``G`` groups share them: one group scales them by ``sigma * sqrt(dt)`` in
-    the tile, several scale each step's row by group.  The step runs in
-    place.  Step ``cfg.record_from + j * cfg.record_every`` is stored in
+    ``G`` groups share them: each step's row is scaled by each group's
+    ``sigma * sqrt(dt)``.  The step runs in place.  Step ``cfg.record_from + j * cfg.record_every`` is stored in
     column ``j``.
     """
     G, m = len(cfg.step_sizes), hi - lo
@@ -255,13 +254,11 @@ def _run_range(drift, cfg, lo, hi, paths, gens, noise):
                 tiled = tile[:min(_TILE, m - a), :nb]
                 for row, gen in zip(tiled, gens[a:a + len(tiled)]):
                     gen.standard_normal(nb, out=row)
-                if G == 1:
-                    tiled *= sdt  # in the contiguous tile: a strided product would buffer
                 raw[:nb, a:a + len(tiled)] = tiled.T
             for k in range(k0, k0 + nb):
-                step_dw = raw[k - k0] if draw else 0.0
-                if draw and G > 1:
-                    step_dw = np.multiply(sdt, step_dw, out=dw)
+                step_dw = 0.0
+                if draw:
+                    step_dw = np.multiply(sdt, raw[k - k0], out=dw)
                     for g in quiet:
                         dw[g] = 0.0  # a zero scale adds +0.0, as an undrawn step does
                 _em_update(x, drift, cfg.t0 + k * dt, dt, step_dw, out=nxt)

@@ -91,7 +91,9 @@ def _main(argv) -> int:
         refused = e.errors
     except UnicodeDecodeError as e:  # the file was read, but it is not config text
         refused = [f"{args.config}: not UTF-8 text ({e.reason} at byte {e.start})"]
-    except MemoryError:
+    except (MemoryError, ValueError) as e:  # numpy refuses a size beyond its index range
+        if not isinstance(e, MemoryError) and not str(e).startswith("array is too big"):
+            raise
         refused = ["configured sizes are too large to allocate"]
     except OSError as e:
         print(f"I/O failure: {e}", file=sys.stderr)

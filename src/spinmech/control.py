@@ -202,15 +202,10 @@ def simulate_tracking(
         return b
 
     batch = simulate_ensemble(DriftSpec(plant_drift), cfg, n_workers=n_workers)
-    times = batch.times
-    refs = np.array([law.reference.v_r(t) for t in times])
-    per_particle_errors = batch.paths - refs
-    mean_err = per_particle_errors.mean(axis=0)
-    std_err = (
-        per_particle_errors.std(axis=0, ddof=1)
-        if batch.n_particles > 1
-        else np.zeros_like(mean_err)
-    )
+    times, errors = batch.times, batch.paths  # a fresh array that nothing else holds
+    errors -= np.array([law.reference.v_r(t) for t in times])
+    mean_err = errors.mean(axis=0)
+    std_err = errors.std(axis=0, ddof=1) if batch.n_particles > 1 else np.zeros_like(mean_err)
     control = np.array([_law_value(law, t) for t in times])
     try:
         rate = error_dynamics_fit(mean_err, times)

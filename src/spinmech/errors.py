@@ -35,10 +35,7 @@ class NumericalOverflowError(SpinmechError, ArithmeticError):
 
 
 class ConfigurationError(InvalidInputError):
-    """A run configuration is inconsistent or breaks a stability bound; one message or a list."""
-
-    def __init__(self, errors, *more):  # copy and pickle pass the messages one by one
-        super().__init__(*([errors] if isinstance(errors, str) else errors), *more)
+    """A run configuration is inconsistent or breaks a stability bound; one message per problem."""
 
 
 class FitWindowError(InvalidInputError):

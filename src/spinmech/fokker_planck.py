@@ -172,7 +172,7 @@ def _checked_flux(u_face, sigma: float, dx: float, dt: float):
     if dt > advective:
         problems.append(f"advective CFL bound violated: dt={dt:g} > dx/max|u|={advective:g}")
     if problems:
-        raise ConfigurationError(problems)
+        raise ConfigurationError(*problems)
     return _face_flux(u_face, sigma, dx)
 
 
@@ -249,7 +249,7 @@ def fp_solve(
     faces = grid.faces[1:-1]
     times: list[float] = []
     snaps: list[DensityField] = []
-    t, next_out, values, warned = 0.0, 0, rho0.values, False
+    t, next_out, values, warned = 0.0, 0, rho0.values.copy(), False  # updated in place
     while True:
         while next_out < len(wanted) and min(wanted[next_out], t_final) - slack <= t:
             times.append(t)
@@ -267,7 +267,6 @@ def fp_solve(
                           RuntimeWarning, stacklevel=2)
             warned = True
         moved = step / grid.dx * flux(values)
-        values = values.copy()
         values[:-1] -= moved
         values[1:] += moved
         low = float(values.min())
@@ -276,7 +275,7 @@ def fp_solve(
                 f"density went negative or NaN ({low:g}); step is unstable for this drift"
             )
         if low < 0.0:
-            values = np.where(values < 0.0, 0.0, values)
+            values[values < 0.0] = 0.0
         t = min(t + step, t_final)
     return np.asarray(times), snaps
 

@@ -157,13 +157,13 @@ def parse_config(text: str) -> ScenarioConfig:
     if spec is not None:
         params = _read_section("parameters", raw.sections["parameters"], spec.params, errors)
     if errors:
-        raise ConfigurationError(errors)
+        raise ConfigurationError(*errors)
     cfg = ScenarioConfig(scenario=head["name"], parameters=params, seed=head["seed"],
                          output_dir=output["dir"])
     try:
         spec.runner(cfg)
     except SpinmechError as e:
-        raise ConfigurationError([f"scenario '{cfg.scenario}': {m}" for m in e.errors]) from None
+        raise ConfigurationError(*[f"scenario '{cfg.scenario}': {m}" for m in e.errors]) from None
     return cfg
 
 

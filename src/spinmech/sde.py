@@ -45,7 +45,10 @@ _CHUNK_NOISE_BYTES = 24 * 1024 * 1024
 #: The most streams in one chunk; the chunks of an ensemble have equal widths.
 _CHUNK_STREAMS = 2048
 
-#: Streams whose normals are drawn into contiguous rows before one transpose.
+#: Streams whose normals are drawn into contiguous rows before one transpose.  Drawing
+#: each stream straight into a stream-major block and stepping on its columns kept every
+#: byte but was no faster on 1 worker (2.06 -> 2.00 s) and slower on 2 (1.69 -> 1.88 s),
+#: in-process ``simulate_ensemble`` runs of 20 000 streams x 3000 steps on 2 vCPUs.
 _TILE = 16
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinmech import sde
 from spinmech.control import (
     ControlLaw,
     ReferenceTrajectory,
@@ -282,6 +284,23 @@ class TestSimulateControlledEnsemble:
         rep = simulate_tracking(ControlLaw(1.0, ref), cfg)
         band = 3 * sigma / math.sqrt(n)
         assert abs(rep.terminal_error - math.exp(-2.0)) < band
+
+    def test_errors_are_computed_on_the_paths_without_a_copy(self, monkeypatch):
+        # 8-step noise blocks keep the ensemble's own peak well below the paths' size;
+        # the errors then need one temporary the size of the paths, for std, and no copy
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * 2000 * 8)
+        ref = ReferenceTrajectory.constant(1.0, 1.0)
+        cfg = SdeConfig(dt=5e-3, n_steps=200, sigma=0.5, n_particles=2000, seed=3, x0=2.0,
+                        record_every=1)
+        simulate_tracking(ControlLaw(1.0, ref), replace(cfg, n_particles=2))  # warm imports
+        tracemalloc.start()
+        try:
+            rep = simulate_tracking(ControlLaw(1.0, ref), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        paths_nbytes = 8 * cfg.n_particles * rep.times.size  # 201 samples: 3.2 MB
+        assert peak < 2.5 * paths_nbytes
 
     def test_per_particle_variance_approaches_stationary(self):
         # the error process is itself the restoring diffusion

@@ -240,7 +240,7 @@ def test_check_number_bounds():
 
 def test_a_configuration_error_is_a_refused_input_with_one_message_per_problem():
     assert issubclass(ConfigurationError, InvalidInputError)
-    both = ConfigurationError(["a is bad", "b is bad"])
+    both = ConfigurationError("a is bad", "b is bad")
     assert both.errors == ["a is bad", "b is bad"]
     assert str(both) == "a is bad; b is bad"
     assert copy.copy(both).errors == both.errors

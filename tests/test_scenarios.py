@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import re
@@ -81,6 +82,13 @@ def small_config(scenario, out, **changes):
     )
 
 
+def boundary_mass_warned(scenario):
+    """Expect the boundary-mass warning that ``mc_fp_xval``'s 16-cell ``SMALL_PARAMS`` grid gives."""
+    if scenario == "mc_fp_xval":
+        return pytest.warns(RuntimeWarning, match="boundary mass")
+    return contextlib.nullcontext()
+
+
 def run_text(text, out_dir, n_workers=1):
     cfg = parse_config(text.format(out=out_dir))
     return run_scenario(cfg, n_workers=n_workers)
@@ -124,15 +132,17 @@ class TestReproducibility:
 class TestRunSummary:
     @pytest.mark.parametrize("scenario", sorted(SMALL_PARAMS))
     def test_artifact_list_matches_directory_exactly(self, tmp_path, scenario):
-        summary = run_scenario(parse_config(small_config(scenario, tmp_path)))
+        with boundary_mass_warned(scenario):
+            summary = run_scenario(parse_config(small_config(scenario, tmp_path)))
         assert sorted(summary.artifacts) == sorted(p.name for p in tmp_path.iterdir())
 
     @pytest.mark.parametrize("scenario", sorted(SMALL_PARAMS))
     def test_measure_needs_only_the_directory(self, tmp_path, scenario):
         a, b = tmp_path / "a", tmp_path / "b"
         cfg = parse_config(small_config(scenario, a))
-        summary = run_scenario(cfg)
-        tables, computed = REGISTRY[scenario].runner(cfg)[0](1)
+        with boundary_mass_warned(scenario):
+            summary = run_scenario(cfg)
+            tables, computed = REGISTRY[scenario].runner(cfg)[0](1)
         b.mkdir()
         for name in tables:  # only what compute wrote
             shutil.copyfile(a / name, b / name)
@@ -285,7 +295,8 @@ class TestRecordedWindow:
         assert (cfg.record_from == 0) == (tail_fraction == 1.0)
 
     def test_mc_fp_xval_records_the_final_sample(self, monkeypatch, tmp_path):
-        cfg, n_samples = self._recorded(monkeypatch, tmp_path, "mc_fp_xval")
+        with boundary_mass_warned("mc_fp_xval"):
+            cfg, n_samples = self._recorded(monkeypatch, tmp_path, "mc_fp_xval")
         assert n_samples == 1 and cfg.record_from == cfg.n_steps
 
 
@@ -490,14 +501,24 @@ class TestCli:
             ("fp_stationary", "omega = 1.0\nsigma = 1.0\nn_snapshots = 1000000000000000"),
             ("momentum_limit", "n_paths = 10000000000000"),
             ("track_ensemble", "omega = 1.0\nsigma = 1.0\nn_particles = 10000000000000"),
+            # beyond numpy's index range: numpy refuses the size with a ValueError
+            ("ou_relax", "omega = 1.0\nsigma = 1.0\nn_particles = 1000000000000000000"),
+            ("ou_relax", "omega = 1.0\nsigma = 1.0\nn_particles = 300000000000000000\n"
+                         "record_every = 1"),
+            ("track_ensemble", "omega = 1.0\nsigma = 1.0\nn_particles = 1000000000000000000"),
+            ("mc_fp_xval", "omega = 1.0\nsigma = 1.0\nn_particles = 2000000000000000000"),
+            ("momentum_limit", "n_paths = 1000000000000000000"),
+            ("fp_stationary", "omega = 1.0\nsigma = 1.0\nn_cells = 2000000000000000000"),
+            ("fp_stationary", "omega = 1.0\nsigma = 1.0\nn_snapshots = 2000000000000000000"),
         ],
     )
     def test_size_too_large_to_allocate_exits_2_without_traceback(
         self, tmp_path, capsys, scenario, params
     ):
         # each run's first array needs more than 128 TiB, so allocation fails
-        # at once whatever the overcommit policy; the setup that validate runs
-        # allocates nothing sized by the config, so it accepts the config
+        # at once whatever the overcommit policy, or more bytes than numpy can
+        # index; the setup that validate runs allocates nothing sized by the
+        # config, so it accepts the config
         text = (
             f"[scenario]\nname = {scenario}\nseed = 1\n[parameters]\n{params}\n"
             f"[output]\ndir = {tmp_path / 'out'}\n"
@@ -506,8 +527,16 @@ class TestCli:
         assert cli.main(["validate", cfg]) == cli.EXIT_OK
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "too large to allocate" in err
+        assert "configuration errors:" in err and "too large to allocate" in err
         assert "Traceback" not in err
+
+    def test_another_value_error_is_not_a_size_refusal(self, tmp_path, monkeypatch):
+        def broken(cfg, n_workers=1):
+            raise ValueError("a defect, not a size")
+        monkeypatch.setattr(cli, "run_scenario", broken)
+        cfg = self._write(tmp_path, small_config("ou_relax", tmp_path / "out"))
+        with pytest.raises(ValueError, match="a defect, not a size"):
+            cli.main(["run", cfg])
 
     @pytest.mark.parametrize(
         "scenario,params,undefined",

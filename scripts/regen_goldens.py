@@ -11,8 +11,8 @@ and ``tracking_summary.json`` echo the output dir, so the fixed relative
 dir makes them hash the same wherever the run happens.  The digests land
 in ``tests/data/golden_digests.txt`` as ``<sha256>  <scenario>/<file>``
 lines; ``--check`` compares against that file instead of writing it and,
-on any difference, prints each moved line and exits 1.
-``tests/test_goldens.py`` runs the same check.
+on any difference, prints each moved line and numpy's enabled CPU dispatch
+features, then exits 1.  ``tests/test_goldens.py`` runs the same check.
 
 ``--full`` runs the canned configs as committed instead, with output dir
 ``canned/<scenario>``, once on one worker and once on two; the two runs must
@@ -91,6 +91,20 @@ def moved_lines(expected, actual) -> list[str]:
             + [f"+ {line}" for line in actual if line not in old])
 
 
+def cpu_features() -> str:
+    """The CPU features numpy dispatches its loops to in this process.
+
+    Float64 ``exp``, ``log``, ``expm1`` and ``power`` give other last bits in
+    their AVX-512 loops than in the AVX2 and baseline ones, so digests
+    pinned on one feature level can move on another.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return "numpy dispatch features: " + " ".join(k for k, on in __cpu_features__.items() if on)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true",
@@ -117,7 +131,7 @@ def main() -> int:
         print(f"{len(lines)} digests match {target}")
         return 0
     print(f"digests differ from {target}:", *moved_lines(target.read_text().splitlines(), lines),
-          sep="\n", file=sys.stderr)
+          cpu_features(), sep="\n", file=sys.stderr)
     return 1
 
 

@@ -20,7 +20,6 @@ from .control import (
     simulate_tracking,
 )
 from .errors import (
-    ConfigurationError,
     FitWindowError,
     InvalidInputError,
     NumericalOverflowError,

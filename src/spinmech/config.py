@@ -17,7 +17,7 @@ So ``dir = 007`` is the directory ``007`` and ``n_particles = 1e4`` is 10000.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import InvalidInputError
 
@@ -42,20 +42,6 @@ class ScenarioConfig:
         for k in sorted(self.parameters):
             out[f"parameters.{k}"] = self.parameters[k]
         return out
-
-
-@dataclass
-class RawItem:
-    text: str
-    line: int
-
-
-@dataclass
-class RawConfig:
-    """Parser output before scenario-specific validation."""
-
-    sections: dict = field(default_factory=dict)
-    errors: list = field(default_factory=list)
 
 
 def _number(text: str, expected: str) -> float:
@@ -107,9 +93,13 @@ def read_value(kind: str, text: str):
     raise AssertionError(f"unknown value kind {kind}")
 
 
-def parse_sections(text: str) -> RawConfig:
-    """Tokenize the document; collects structural errors, never raises."""
-    raw = RawConfig(sections={s: {} for s in SECTIONS})
+def parse_sections(text: str) -> tuple[dict, list]:
+    """Tokenize the document into ``(sections, errors)``; never raises.
+
+    ``sections`` maps each section name to ``{key: (text, line)}``, and
+    ``errors`` lists the structural problems, each with its line number.
+    """
+    sections, errors = {s: {} for s in SECTIONS}, []
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -118,38 +108,30 @@ def parse_sections(text: str) -> RawConfig:
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip()
             if name not in SECTIONS:
-                raw.errors.append(
-                    f"line {lineno}: unknown section [{name}]; expected one of "
-                    + ", ".join(f"[{s}]" for s in SECTIONS)
-                )
+                errors.append(f"line {lineno}: unknown section [{name}]; expected one of "
+                              + ", ".join(f"[{s}]" for s in SECTIONS))
                 current = None
             else:
                 current = name
             continue
         if "=" not in stripped:
-            raw.errors.append(
-                f"line {lineno}: expected 'key = value' or '[section]', got {stripped!r}"
-            )
+            errors.append(f"line {lineno}: expected 'key = value' or '[section]', "
+                          f"got {stripped!r}")
             continue
         if current is None:
-            raw.errors.append(
-                f"line {lineno}: 'key = value' outside any section"
-            )
+            errors.append(f"line {lineno}: 'key = value' outside any section")
             continue
         key, _, value = stripped.partition("=")
         key = key.strip()
         if not key:
-            raw.errors.append(f"line {lineno}: empty key")
+            errors.append(f"line {lineno}: empty key")
             continue
-        if key in raw.sections[current]:
-            first = raw.sections[current][key].line
-            raw.errors.append(
-                f"line {lineno}: conflicting duplicate key '{key}' in [{current}] "
-                f"(first set on line {first})"
-            )
+        if key in sections[current]:
+            errors.append(f"line {lineno}: conflicting duplicate key '{key}' in [{current}] "
+                          f"(first set on line {sections[current][key][1]})")
             continue
-        raw.sections[current][key] = RawItem(value.strip(), lineno)
-    return raw
+        sections[current][key] = (value.strip(), lineno)
+    return sections, errors
 
 
 def read_flag(flag: str, kind: str, value):

@@ -190,8 +190,10 @@ def simulate_tracking(
     :func:`openloop_control` checks the horizon's two ends, ``cfg.t0`` and
     ``cfg.t_final``, before any step; every step and recorded time lies
     between them, so the law is then evaluated without the per-call range
-    check.
+    check.  ``cfg.dt`` must be one step size, not a tuple.
     """
+    if isinstance(cfg.dt, tuple):
+        raise InvalidInputError(f"tracking takes one step size, got dt={cfg.dt!r}")
     openloop_control(law, cfg.t0)
     openloop_control(law, cfg.t_final)
 
@@ -205,7 +207,8 @@ def simulate_tracking(
     times, errors = batch.times, batch.paths  # a fresh array that nothing else holds
     errors -= np.array([law.reference.v_r(t) for t in times])
     mean_err = errors.mean(axis=0)
-    std_err = errors.std(axis=0, ddof=1) if batch.n_particles > 1 else np.zeros_like(mean_err)
+    errors -= mean_err  # the deviations, squared in place: std's ddof=1 arithmetic, no copy
+    std_err = np.sqrt(np.square(errors, out=errors).sum(axis=0) / max(batch.n_particles - 1, 1))
     control = np.array([_law_value(law, t) for t in times])
     try:
         rate = error_dynamics_fit(mean_err, times)

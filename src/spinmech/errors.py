@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all spinmech modules.
 
 An error's ``errors`` property holds its messages, one per problem, and every
-refused input is an :class:`InvalidInputError`, a :class:`ConfigurationError` too.
+refused input, a run configuration included, is an :class:`InvalidInputError`.
 :func:`check_number` is the one place each numeric precondition is written,
 :func:`check_int` the one place each count or seed must be an integer,
 :func:`check_finite` the one place an input array must be finite,
@@ -32,10 +32,6 @@ class InvalidInputError(SpinmechError, ValueError):
 
 class NumericalOverflowError(SpinmechError, ArithmeticError):
     """A state variable became non-finite or crossed the overflow bound."""
-
-
-class ConfigurationError(InvalidInputError):
-    """A run configuration is inconsistent or breaks a stability bound; one message per problem."""
 
 
 class FitWindowError(InvalidInputError):

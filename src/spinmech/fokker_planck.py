@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     InvalidInputError,
     NumericalOverflowError,
     check_finite,
@@ -172,7 +171,7 @@ def _checked_flux(u_face, sigma: float, dx: float, dt: float):
     if dt > advective:
         problems.append(f"advective CFL bound violated: dt={dt:g} > dx/max|u|={advective:g}")
     if problems:
-        raise ConfigurationError(*problems)
+        raise InvalidInputError(*problems)
     return _face_flux(u_face, sigma, dx)
 
 

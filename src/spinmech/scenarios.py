@@ -39,8 +39,7 @@ import numpy as np
 from . import io
 from .config import ScenarioConfig, parse_sections, read_value
 from .control import ControlLaw, ReferenceTrajectory, simulate_tracking
-from .errors import (ConfigurationError, InvalidInputError, SpinmechError, check_number,
-                     check_overflow, check_steps)
+from .errors import InvalidInputError, SpinmechError, check_number, check_overflow, check_steps
 from .fokker_planck import (
     DensityField,
     Grid1D,
@@ -116,19 +115,19 @@ def _read_section(section: str, items: dict, params: tuple, errors: list) -> dic
     """
     by_name = {p.name: p for p in params}
     values = {}
-    for key, item in items.items():
+    for key, (text, line) in items.items():
         param = by_name.get(key)
         if param is None:
-            errors.append(f"line {item.line}: unknown key '{key}' in [{section}] "
+            errors.append(f"line {line}: unknown key '{key}' in [{section}] "
                           f"(expected {', '.join(by_name)})")
             continue
         try:
-            value = read_value(param.kind, item.text)
+            value = read_value(param.kind, text)
         except ValueError as e:
-            errors.append(f"line {item.line}: {section}.{key}: {e}")
+            errors.append(f"line {line}: {section}.{key}: {e}")
             continue
         if param.check is not None and not param.check[0](value):
-            errors.append(f"line {item.line}: invalid {section}.{key}: {param.check[1]}")
+            errors.append(f"line {line}: invalid {section}.{key}: {param.check[1]}")
             continue
         values[key] = value
     for p in params:
@@ -144,26 +143,25 @@ def _read_section(section: str, items: dict, params: tuple, errors: list) -> dic
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a config document.
 
-    All schema problems are collected into one ConfigurationError (line-numbered
+    All schema problems are collected into one InvalidInputError (line-numbered
     where applicable) rather than failing on the first.  A config that passes
     the schema then runs its scenario's setup, which refuses it as its run would.
     """
-    raw = parse_sections(text)
-    errors = list(raw.errors)
-    head = _read_section("scenario", raw.sections["scenario"], _SCENARIO_KEYS, errors)
-    output = _read_section("output", raw.sections["output"], _OUTPUT_KEYS, errors)
+    sections, errors = parse_sections(text)
+    head = _read_section("scenario", sections["scenario"], _SCENARIO_KEYS, errors)
+    output = _read_section("output", sections["output"], _OUTPUT_KEYS, errors)
     spec = REGISTRY.get(head.get("name"))
     params = {}
     if spec is not None:
-        params = _read_section("parameters", raw.sections["parameters"], spec.params, errors)
+        params = _read_section("parameters", sections["parameters"], spec.params, errors)
     if errors:
-        raise ConfigurationError(*errors)
+        raise InvalidInputError(*errors)
     cfg = ScenarioConfig(scenario=head["name"], parameters=params, seed=head["seed"],
                          output_dir=output["dir"])
     try:
         spec.runner(cfg)
     except SpinmechError as e:
-        raise ConfigurationError(*[f"scenario '{cfg.scenario}': {m}" for m in e.errors]) from None
+        raise InvalidInputError(*[f"scenario '{cfg.scenario}': {m}" for m in e.errors]) from None
     return cfg
 
 
@@ -289,7 +287,7 @@ def list_scenarios() -> str:
 def _steps_for(t_final: float, dt: float) -> int:
     n = round(check_steps(t_final, dt))
     if n < 1 or abs(n * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ConfigurationError(
+        raise InvalidInputError(
             f"t_final={t_final:g} must be a whole number of dt={dt:g} steps"
         )
     return n
@@ -319,7 +317,7 @@ def _auto_record(n_steps: int, requested: int, target: int = 10) -> int:
             return top - k
         if n_steps % (fewest + k) == 0:
             return n_steps // (fewest + k)
-    raise ConfigurationError(
+    raise InvalidInputError(
         f"n_steps={n_steps} has no divisor near n_steps / {target} to record at; "
         "choose a step count that has one"
     )
@@ -528,7 +526,7 @@ def _run_stern_gerlach(cfg: ScenarioConfig):
 def _run_momentum_limit(cfg: ScenarioConfig):
     p = cfg.parameters
     if any(h <= p["t0"] for h in p["horizons"]):
-        raise ConfigurationError("every horizon must exceed t0")
+        raise InvalidInputError("every horizon must exceed t0")
     drift = DriftSpec.time_scaled(p["t_floor"])
     n_paths, n_steps = p["n_paths"], p["steps_per_horizon"]
     record_every = _auto_record(n_steps, 0, target=4000)
@@ -547,12 +545,14 @@ def _run_momentum_limit(cfg: ScenarioConfig):
     )
     def compute(n_workers: int):
         batch = simulate_ensemble(drift, sde_cfg, n_workers)  # a block of rows per horizon
-        estimates = [momentum_estimate(t, x, 1.0, p["variance_threshold"])  # the stored window
-                     for t, x in zip(batch.times, np.split(batch.paths, len(batch.times)))]
+        # each row's estimate over the stored window, 64 rows at a time: small temporaries
+        estimates = [momentum_estimate(t, x[i:i + 64], 1.0, p["variance_threshold"])
+                     for t, x in zip(batch.times, np.split(batch.paths, len(batch.times)))
+                     for i in range(0, n_paths, 64)]
         header = ["horizon", "path", "p_hat", "window_variance", "converged"]
         return {"momentum.csv": (header, [
             np.repeat(p["horizons"], n_paths),
-            np.tile(np.arange(n_paths), len(estimates)),
+            np.tile(np.arange(n_paths), len(p["horizons"])),
             np.concatenate([e.p_hat for e in estimates]),
             np.concatenate([e.window_variance for e in estimates]),
             np.concatenate([e.converged for e in estimates]),

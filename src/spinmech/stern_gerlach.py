@@ -221,7 +221,9 @@ def count_plate_modes(z_values) -> int:
         raise InvalidInputError("plate positions must be finite and span a finite range")
     if not np.all(edges[:-1] < edges[1:]):
         return 1  # too narrow to split: one mode, as for the zero span np.histogram widens
-    counts, _ = np.histogram(z, bins=PLATE_BINS)
+    # np.histogram's own bins for z, counted in blocks so that its temporaries stay small
+    counts = sum(np.histogram(z[i:i + 4096], PLATE_BINS, (edges[0], edges[-1]))[0]
+                 for i in range(0, z.size, 4096))
     smooth = np.convolve(counts, np.array([1.0, 2.0, 1.0]) / 4.0, mode="same")
     return _count_prominent_peaks(
         [0.0, *smooth.tolist(), 0.0], PLATE_PROMINENCE * smooth.max()

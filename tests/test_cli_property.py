@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from spinmech import cli
 from spinmech.config import read_value
-from spinmech.errors import ConfigurationError, SpinmechError
+from spinmech.errors import InvalidInputError, SpinmechError
 from spinmech.fokker_planck import Grid1D, stable_dt
 from spinmech.scenarios import REGISTRY, parse_config
 from spinmech.sde import DriftSpec, drift_from_density
@@ -170,7 +170,7 @@ def _set_steps(draw, pick, scenario, seed, p):
     if scenario in ("fp_stationary", "mc_fp_xval") and dt is None:
         try:
             parsed = parse_config(_text(scenario, seed, p, "unused")).parameters
-        except ConfigurationError:
+        except InvalidInputError:
             parsed = None  # the run stops at the config, before any work
         dt = _solver_dt(scenario, parsed) if parsed else None
     p["t_final"] = pick(st.just(k * dt), no_work) if _positive(dt) else draw(any_value)

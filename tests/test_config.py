@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmech.config import apply_overrides, read_value
-from spinmech.errors import ConfigurationError, InvalidInputError
+from spinmech.errors import InvalidInputError
 from spinmech.scenarios import REGISTRY, parse_config
 
 MINIMAL_OU = """
@@ -27,7 +27,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def errors_of(text):
-    with pytest.raises(ConfigurationError) as excinfo:
+    with pytest.raises(InvalidInputError) as excinfo:
         parse_config(text)
     return excinfo.value.errors
 
@@ -110,6 +110,10 @@ class TestParseConfig:
         text = MINIMAL_OU.replace("omega = 1.0", "omega = 1.0\nbogus_knob = 3")
         msgs = errors_of(text)
         assert any("bogus_knob" in m and m.startswith("line ") for m in msgs)
+
+    def test_a_line_without_equals_is_refused_with_its_number(self):
+        msgs = errors_of(MINIMAL_OU.replace("omega = 1.0", "omega = 1.0\nomega 2.0"))
+        assert msgs == ["line 8: expected 'key = value' or '[section]', got 'omega 2.0'"]
 
     def test_duplicate_key_conflict(self):
         text = MINIMAL_OU.replace("omega = 1.0", "omega = 1.0\nomega = 2.0")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmech.errors import (
-    ConfigurationError,
+    InvalidInputError,
     InvalidInputError,
     NumericalOverflowError,
 )
@@ -77,6 +77,17 @@ class TestDensityField:
         with pytest.raises(InvalidInputError, match="non-negative"):
             DensityField(Grid1D(-1.0, 1.0, 16), np.full(16, math.nan))
 
+    @pytest.mark.parametrize("values", [np.full(15, 1.0), np.full((16, 1), 1.0)])
+    def test_rejects_values_of_another_shape(self, values):
+        with pytest.raises(InvalidInputError, match=r"^values shape \(.*\) does not match 16 cells"):
+            DensityField(Grid1D(0.0, 1.0, 16), values)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_from_function_refuses_negative_or_non_finite_values(self, bad):
+        g = Grid1D(0.0, 1.0, 16)
+        with pytest.raises(InvalidInputError, match="^density function must give finite values"):
+            DensityField.from_function(g, lambda x: np.where(x > 0.5, bad, 1.0))
+
     def test_from_function_normalizes(self):
         g = Grid1D(-5.0, 5.0, 128)
         f = gaussian_field(g)
@@ -144,13 +155,13 @@ class TestFpStep:
     def test_diffusive_bound_named(self):
         g = Grid1D(-2.0, 2.0, 64)
         f = gaussian_field(g, std=0.5)
-        with pytest.raises(ConfigurationError, match="diffusive stability bound"):
+        with pytest.raises(InvalidInputError, match="diffusive stability bound"):
             fp_step(f, ZERO_DRIFT, 1.0, 0.0, 1.0)
 
     def test_advective_bound_named(self):
         g = Grid1D(-2.0, 2.0, 64)
         f = gaussian_field(g, std=0.5)
-        with pytest.raises(ConfigurationError, match="advective CFL bound"):
+        with pytest.raises(InvalidInputError, match="advective CFL bound"):
             fp_step(f, DriftSpec.linear(5.0), 0.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
@@ -441,13 +452,13 @@ class TestAutonomousFastPath:
         drift = DriftSpec.linear(5.0)
         bound = g.dx / (5.0 * 2.0)  # dx / max|u| on the interior faces
         fp_solve(f, drift, 0.0, 0.5 * bound, 10.0 * bound)
-        with pytest.raises(ConfigurationError, match="advective CFL bound"):
+        with pytest.raises(InvalidInputError, match="advective CFL bound"):
             fp_solve(f, drift, 0.0, 1.5 * bound, 10.0 * bound)
 
     def test_stability_error_raised_by_solve(self):
         g = Grid1D(-2.0, 2.0, 64)
         f = gaussian_field(g, std=0.5)
-        with pytest.raises(ConfigurationError, match="diffusive stability bound"):
+        with pytest.raises(InvalidInputError, match="diffusive stability bound"):
             fp_solve(f, ZERO_DRIFT, 1.0, 2.0, 1.0)
 
     def test_negative_density_raised_by_solve(self):
@@ -530,6 +541,15 @@ class TestHistogramDensity:
         g = Grid1D(-1.0, 1.0, 16)
         with pytest.raises(InvalidInputError, match="^positions must be finite"):
             histogram_density(self._batch([0.0, 0.5, bad]), 0, g)
+
+    def test_refuses_an_empty_batch(self):
+        batch = TrajectoryBatch(times=np.array([0.0, 1.0]), paths=np.zeros((0, 2)))
+        with pytest.raises(InvalidInputError, match="^empty trajectory batch$"):
+            histogram_density(batch, 0, Grid1D(-1.0, 1.0, 16))
+
+    def test_refuses_a_batch_wholly_outside_the_grid(self):
+        with pytest.raises(InvalidInputError, match="^all positions fall outside"):
+            histogram_density(self._batch([-5.0, 1.5, 7.0]), 0, Grid1D(-1.0, 1.0, 16))
 
     @pytest.mark.parametrize("step_index", [99, 2, -3, 1.5, True, "0", None])
     def test_refuses_a_step_index_outside_the_batch(self, step_index):

@@ -38,4 +38,21 @@ def test_artifact_digests_match_goldens(tmp_path, monkeypatch, n_workers, chunk_
     regen = _load_script()
     expected = regen.GOLDEN_FILE.read_text().splitlines()
     actual = regen.digest_lines(tmp_path, n_workers)
-    assert actual == expected, "\n".join(["artifacts moved:", *regen.moved_lines(expected, actual)])
+    assert actual == expected, "\n".join(["artifacts moved:", *regen.moved_lines(expected, actual),
+                                          regen.cpu_features()])
+
+
+def test_a_failed_check_names_the_cpu_features(tmp_path, monkeypatch, capsys):
+    regen = _load_script()
+    golden = tmp_path / "golden_digests.txt"
+    golden.write_text("0" * 64 + "  ou_relax/summary.txt\n")
+    monkeypatch.setattr(regen, "GOLDEN_FILE", golden)
+    monkeypatch.setattr(regen, "digest_lines",
+                        lambda work, **kw: ["1" * 64 + "  ou_relax/summary.txt"])
+    monkeypatch.setattr("sys.argv", ["regen_goldens.py", "--check"])
+    assert regen.main() == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:3] == ["- " + "0" * 64 + "  ou_relax/summary.txt",
+                        "+ " + "1" * 64 + "  ou_relax/summary.txt"]
+    assert err[3] == regen.cpu_features() and err[3].startswith("numpy dispatch features: ")
+    assert len(err[3].split()) > 3  # names at least one enabled feature

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinmech import cli, io, scenarios
-from spinmech.errors import ConfigurationError, InvalidInputError
+from spinmech.errors import InvalidInputError
 from spinmech.fokker_planck import DensityField, Grid1D
 from spinmech.scenarios import (
     REGISTRY,
@@ -238,7 +238,7 @@ class TestScenarioErrors:
         text = SMALL_OU.format(out=tmp_path).replace(
             "dt = 2e-3", "dt = 2e-3\nrecord_every = 7"
         )
-        with pytest.raises(ConfigurationError, match="record_every must divide n_steps"):
+        with pytest.raises(InvalidInputError, match="record_every must divide n_steps"):
             run_scenario(parse_config(text))
 
     def test_fp_stability_violation_is_config_error_with_context(self, tmp_path):
@@ -256,7 +256,7 @@ dt = 1.0
 [output]
 dir = {tmp_path}
 """
-        with pytest.raises(ConfigurationError, match="fp_stationary.*stability"):
+        with pytest.raises(InvalidInputError, match="fp_stationary.*stability"):
             run_scenario(parse_config(text))
 
 
@@ -313,7 +313,7 @@ class TestAutoRecord:
     def test_far_stride_refused_at_once(self):
         # 80 * 734150239091023: the nearest stride below n_steps / 4000 is 80
         started = time.perf_counter()
-        with pytest.raises(ConfigurationError, match="no divisor near"):
+        with pytest.raises(InvalidInputError, match="no divisor near"):
             _auto_record(58_732_019_127_281_840, 0, target=4000)
         assert time.perf_counter() - started < 10.0
 

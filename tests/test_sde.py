@@ -235,6 +235,11 @@ class TestTrajectoryBatch:
         with pytest.raises(InvalidInputError, match="strictly increasing"):
             TrajectoryBatch(np.array([0.0, math.nan, 2.0]), np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("paths", [np.zeros((1, 2)), np.zeros(3), np.zeros((1, 3, 1))])
+    def test_paths_must_be_rows_over_the_times(self, paths):
+        with pytest.raises(InvalidInputError, match=r"^paths \(.*\) don't fit times \(3,\)$"):
+            TrajectoryBatch(np.array([0.0, 1.0, 2.0]), paths)
+
     def test_variances_refuse_one_particle(self):
         batch = TrajectoryBatch(np.array([0.0, 1.0]), np.zeros((1, 2)))
         with pytest.raises(InvalidInputError, match="at least 2 particles, got 1"):

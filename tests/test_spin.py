@@ -81,6 +81,11 @@ class TestPauli:
         with pytest.raises(InvalidInputError):
             SpinOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("entries", [np.eye(3), np.ones(4), np.eye(2)[None]])
+    def test_refuses_entries_that_are_not_2x2(self, entries):
+        with pytest.raises(InvalidInputError, match=r"^operator entries must be 2x2, got \("):
+            SpinOperator(entries)
+
 
 class TestHamiltonian:
     def test_unit_frequency_is_sz(self):

@@ -67,6 +67,12 @@ class TestBeamConfig:
         assert cfg.moment_z(UP) == 3.0
         assert cfg.moment_z(DOWN) == -3.0
 
+    @pytest.mark.parametrize("columns", [([True], [1.0, -1.0], [0.5, -0.5]),
+                                         ([True, False], [1.0, -1.0], [[0.5, -0.5]])])
+    def test_plate_record_columns_must_match(self, columns):
+        with pytest.raises(InvalidInputError, match="^plate record columns have mismatched"):
+            PlateRecords(*columns)
+
     @pytest.mark.parametrize("branch", ["sideways", "UP", "", None])
     def test_one_rule_names_a_branch(self, branch):
         records = PlateRecords([True, False], [1.0, -1.0], [0.5, -0.5])
@@ -331,6 +337,10 @@ class TestPlatePeakCount:
         )
         assert count_plate_modes(z) == peaks.size
 
+
+    def test_refuses_no_positions(self):
+        with pytest.raises(InvalidInputError, match="^no plate positions to histogram$"):
+            count_plate_modes([])
 
     @pytest.mark.parametrize("z", [[np.nan, 1.0], [np.inf, 0.0], [1e308, -1e308]],
                              ids=["nan", "inf", "overflowing-span"])

@@ -11,9 +11,8 @@ bit for bit.
 state -- counter, output buffer and cached 32-bit half -- to that of a fresh
 ``Philox(key=(seed, i))``, so a re-keyed stream draws exactly what a fresh
 one draws.  Building a ``Generator`` costs over ten times as much as
-re-keying one, so each ensemble worker builds one pool of generators, one
-per stream of its widest chunk, keeps a chunk's streams alive across its
-step blocks and re-keys the pool chunk by chunk.
+re-keying one, so an ensemble run builds one pool of generators, one per
+stream of a chunk, and re-keys it chunk by chunk.
 """
 
 from __future__ import annotations

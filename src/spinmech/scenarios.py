@@ -297,19 +297,15 @@ def _steps_for(t_final: float, dt: float) -> int:
 _STRIDE_SEARCH = 10**6
 
 
-def _auto_record(n_steps: int, requested: int, target: int = 10) -> int:
-    """A record stride; 0 requests ~target checkpoints at one that divides n_steps.
+def _auto_record(n_steps: int, target: int = 10) -> int:
+    """The record stride of ``record_every = 0``: ~target checkpoints at one that divides n_steps.
 
-    A requested stride is returned as is; ``SdeConfig`` refuses one that does
-    not divide n_steps.  The automatic stride is the largest divisor of
-    n_steps that is at most ``top = max(1, n_steps // target)``.  It is also
-    ``n_steps // c`` for the least divisor ``c`` of n_steps (a checkpoint
-    count) at or above ``ceil(n_steps / top)``, so the search walks down the
-    strides and up the checkpoint counts at once, and refuses after
-    ``_STRIDE_SEARCH`` steps.
+    It is the largest divisor of n_steps that is at most ``top = max(1,
+    n_steps // target)``.  It is also ``n_steps // c`` for the least divisor
+    ``c`` of n_steps (a checkpoint count) at or above ``ceil(n_steps / top)``,
+    so the search walks down the strides and up the checkpoint counts at
+    once, and refuses after ``_STRIDE_SEARCH`` steps.
     """
-    if requested:
-        return requested
     top = max(1, n_steps // target)
     fewest = -(-n_steps // top)
     for k in range(_STRIDE_SEARCH):
@@ -326,7 +322,7 @@ def _auto_record(n_steps: int, requested: int, target: int = 10) -> int:
 def _run_ou_relax(cfg: ScenarioConfig):
     p = cfg.parameters
     n_steps = _steps_for(p["t_final"], p["dt"])
-    rec = _auto_record(n_steps, p["record_every"])
+    rec = p["record_every"] or _auto_record(n_steps)
     sde_cfg = SdeConfig(
         dt=p["dt"],
         n_steps=n_steps,
@@ -529,7 +525,7 @@ def _run_momentum_limit(cfg: ScenarioConfig):
         raise InvalidInputError("every horizon must exceed t0")
     drift = DriftSpec.time_scaled(p["t_floor"])
     n_paths, n_steps = p["n_paths"], p["steps_per_horizon"]
-    record_every = _auto_record(n_steps, 0, target=4000)
+    record_every = _auto_record(n_steps, target=4000)
     n_rec = n_steps // record_every + 1
     n_tail = tail_samples(n_rec, p["tail_fraction"])  # the window; a short one is refused now
     sde_cfg = SdeConfig(
@@ -595,7 +591,7 @@ def _tracking_setup(cfg: ScenarioConfig, n_particles: int, target: int):
         n_particles=n_particles,
         seed=cfg.seed,
         x0=reference.v_r(0.0) + p["e0"],
-        record_every=_auto_record(n_steps, p["record_every"], target=target),
+        record_every=p["record_every"] or _auto_record(n_steps, target=target),
     )
     return reference, sde_cfg
 

@@ -39,16 +39,15 @@ from .rng import particle_stream
 #: Paths whose |x| crosses this bound abort with an overflow error.
 OVERFLOW_LIMIT = 1e12
 
-#: Bound on the bytes of a worker's noise block; it sets the depth of the step blocks.
+#: Bound on the bytes of a run's noise block; it sets the depth of the step blocks.
 _CHUNK_NOISE_BYTES = 24 * 1024 * 1024
 
 #: The most streams in one chunk; the chunks of an ensemble have equal widths.
 _CHUNK_STREAMS = 2048
 
-#: Streams whose normals are drawn into contiguous rows before one transpose.  Drawing
-#: each stream straight into a stream-major block and stepping on its columns kept every
-#: byte but was no faster on 1 worker (2.06 -> 2.00 s) and slower on 2 (1.69 -> 1.88 s),
-#: in-process ``simulate_ensemble`` runs of 20 000 streams x 3000 steps on 2 vCPUs.
+#: Streams drawn into contiguous rows before one transpose.  Drawing each stream into a
+#: stream-major block kept every byte but took 1.69 s on 1 worker and 1.68 s on 2, against
+#: 1.61 s: medians of 10 in-process runs of 20 000 streams x 3000 steps on 2 shared vCPUs.
 _TILE = 16
 
 
@@ -213,25 +212,44 @@ def _em_update(x, drift, t, dt, dw, out=None):
 
 
 def euler_maruyama_step(x, drift: DriftSpec, t: float, dt: float, dw):
-    """One explicit step ``x + b(x, t) dt + dw``; deterministic in its inputs."""
+    """One explicit step ``x + b(x, t) dt + dw``; |x| beyond ``OVERFLOW_LIMIT`` is refused."""
     check_number("dt", dt, positive=True)
     check_number("t", t)
     x = check_finite("x", np.asarray(x, dtype=float))
     dw = check_finite("dw", np.asarray(dw, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):  # check_overflow raises instead
-        out = check_overflow("Euler-Maruyama step", _em_update(x, drift, t, dt, dw))
+    with np.errstate(over="ignore", invalid="ignore"):  # the bound check raises instead
+        out = _em_update(x, drift, t, dt, dw)
+        if not np.all(np.abs(out) <= OVERFLOW_LIMIT):  # a NaN fails too
+            raise NumericalOverflowError(
+                f"Euler-Maruyama step overflowed (|x| bound {OVERFLOW_LIMIT:g})")
     return float(out) if out.ndim == 0 else out
 
 
-def _run_range(drift, cfg, lo, hi, paths, gens, noise):
-    """Simulate streams [lo, hi) of every step-size group on a worker's ``gens`` and ``noise``.
+def _draw(cfg, lo, a, b, gens, x, raw, tile):
+    """Fill columns ``[a, b)`` of the step-major block ``raw`` from streams ``lo + a .. lo + b``.
 
-    ``gens[i]`` is re-keyed to stream ``lo + i`` and draws its ``x0``, then
-    its normals one step block (the depth of ``noise``) at a time, ``_TILE``
-    streams into contiguous rows that one transpose makes step-major.  The
-    ``G`` groups share them: each step's row is scaled by each group's
-    ``sigma * sqrt(dt)``.  The step runs in place.  Step ``cfg.record_from + j * cfg.record_every`` is stored in
-    column ``j``.
+    Given ``x`` (a chunk's first block), ``gens[i]`` is first re-keyed to stream ``lo + i``
+    and draws its ``x0`` into ``x[:, i]``; normals go through ``tile``, ``_TILE`` at a time.
+    """
+    for i in range(a, b if x is not None else a):
+        gens[i] = particle_stream(cfg.seed, lo + i, gens[i])
+        if callable(cfg.x0):
+            x[:, i] = cfg.x0(gens[i])
+    nb = len(raw)
+    for c in range(a, b if nb else a, _TILE):
+        tiled = tile[:min(_TILE, b - c), :nb]
+        for row, gen in zip(tiled, gens[c:c + len(tiled)]):
+            gen.standard_normal(nb, out=row)
+        raw[:, c:c + len(tiled)] = tiled.T
+
+
+def _run_range(drift, cfg, lo, hi, paths, depth, fill):
+    """Step streams [lo, hi) of every step-size group in place, ``depth`` steps per noise block.
+
+    ``fill(lo, hi, x, nb)`` returns the block's ``nb`` step-major rows of normals (none if
+    no noise is drawn); given ``x`` on the first block, it keys the streams and samples ``x0``
+    into ``x``.  Each step's row is scaled by each group's ``sigma * sqrt(dt)``.  Step
+    ``cfg.record_from + j * cfg.record_every`` is stored in column ``j``.
     """
     G, m = len(cfg.step_sizes), hi - lo
     dt = cfg.step_sizes[0] if G == 1 else np.array(cfg.step_sizes, dtype=float)[:, None]
@@ -240,24 +258,15 @@ def _run_range(drift, cfg, lo, hi, paths, gens, noise):
     draw, sampled = bool(np.any(sdt != 0.0)), callable(cfg.x0)
     quiet = np.flatnonzero(sdt == 0.0).tolist()  # the groups whose noise scale is zero
     x = np.empty((G, m)) if sampled else np.full((G, m), cfg.x0, dtype=float)
-    for i in range(m if sampled or draw else 0):
-        gens[i] = particle_stream(cfg.seed, lo + i, gens[i])
-        if sampled:
-            x[:, i] = cfg.x0(gens[i])
-    rows = paths.reshape(G, -1, paths.shape[1])[:, lo:hi]  # group g's rows of streams lo..hi
-    if cfg.record_from == 0:
-        rows[:, :, 0] = x
-    depth = len(noise)
-    raw, tile = noise[:, :m], np.empty((min(_TILE, m), depth))
     nxt, dw, scratch = np.empty((G, m)), np.empty((G, m)), np.empty((G, m))
+    rows = paths.reshape(G, -1, paths.shape[1])[:, lo:hi]  # group g's rows of streams lo..hi
     with np.errstate(over="ignore", invalid="ignore"):  # the bound check raises instead
         for k0 in range(0, cfg.n_steps, depth):
             nb = min(depth, cfg.n_steps - k0)
-            for a in range(0, m if draw else 0, _TILE):
-                tiled = tile[:min(_TILE, m - a), :nb]
-                for row, gen in zip(tiled, gens[a:a + len(tiled)]):
-                    gen.standard_normal(nb, out=row)
-                raw[:nb, a:a + len(tiled)] = tiled.T
+            if draw or (sampled and k0 == 0):
+                raw = fill(lo, hi, x if k0 == 0 else None, nb if draw else 0)
+            if k0 == 0 and cfg.record_from == 0:
+                rows[:, :, 0] = x
             for k in range(k0, k0 + nb):
                 step_dw = 0.0
                 if draw:
@@ -283,15 +292,14 @@ def simulate_ensemble(
     Results are identical for any ``n_workers`` because every particle's
     noise comes from its own ``(seed, particle)`` stream and the update is
     elementwise.  The ``n`` streams of each step size run, with every step
-    size, in ``ceil(n / _CHUNK_STREAMS)`` chunks of equal width.  A worker
-    runs a contiguous share of the chunks on one generator pool, re-keyed
-    chunk by chunk, and one noise block of ``width`` streams by
-    ``min(n_steps, _CHUNK_NOISE_BYTES // (8 G width))`` steps, so its noise
-    stays within that budget however long the run.  Chunks run on a thread
-    pool only with ``n_workers > 1`` and more than one chunk; otherwise they
-    run on the calling thread, so a serial run neither imports nor starts a
-    pool and a per-thread profiler sees all its work.  The lowest chunk that
-    overflows is reported, as in a serial run.
+    size, in ``ceil(n / _CHUNK_STREAMS)`` chunks of equal width, in order on
+    the calling thread, which steps them.  A run holds one generator pool,
+    re-keyed chunk by chunk, and one noise block of ``width`` streams by
+    ``min(n_steps, _CHUNK_NOISE_BYTES // (8 G width))`` steps, however many
+    workers.  With ``n_workers > 1`` and more than one chunk, a thread pool of
+    at most one thread per chunk only splits each block's draw: a worker
+    draws a share of the streams on its own tile.  Otherwise nothing imports
+    or starts a pool, and a per-thread profiler sees all the work.
     """
     check_int("n_workers", n_workers, 1)
     times = cfg.recorded_times()
@@ -302,20 +310,25 @@ def simulate_ensemble(
     depth = min(cfg.n_steps, max(1, _CHUNK_NOISE_BYTES // (8 * G * width)))
     ranges = [(lo, min(lo + width, n)) for lo in range(0, n, width)]
     workers = min(n_workers, len(ranges))
-    shares = [ranges[w * len(ranges) // workers:(w + 1) * len(ranges) // workers]
-              for w in range(workers)]
 
-    def run(share):  # one worker: its noise block is allocated and freed once, not per chunk
-        gens, noise = [None] * width, np.empty((depth, width))
-        for lo, hi in share:
-            _run_range(drift, cfg, lo, hi, paths, gens, noise)
+    def run(fan):  # ``fan`` maps a block's draw over the workers' shares of its streams
+        gens, noise = [None] * width, np.empty((depth, width))  # freed before the batch is built
+        tiles = [np.empty((min(_TILE, width), depth)) for _ in range(workers)]
+        def fill(lo, hi, x, nb):
+            m = hi - lo
+            cuts = [w * m // workers for w in range(workers + 1)]
+            list(fan(lambda a, b, tile: _draw(cfg, lo, a, b, gens, x, noise[:nb], tile),
+                     cuts, cuts[1:], tiles))
+            return noise[:nb, :m]
+        for lo, hi in ranges:
+            _run_range(drift, cfg, lo, hi, paths, depth, fill)
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, shares))
+            run(pool.map)
     else:
-        run(ranges)
+        run(map)
     return TrajectoryBatch(times=times, paths=paths)
 
 

@@ -308,18 +308,18 @@ class TestAutoRecord:
     @example(n_steps=1, target=4000)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_same_stride_as_the_walk(self, n_steps, target):
-        assert _auto_record(n_steps, 0, target) == _auto_record_by_walk(n_steps, target)
+        assert _auto_record(n_steps, target) == _auto_record_by_walk(n_steps, target)
 
     def test_far_stride_refused_at_once(self):
         # 80 * 734150239091023: the nearest stride below n_steps / 4000 is 80
         started = time.perf_counter()
         with pytest.raises(InvalidInputError, match="no divisor near"):
-            _auto_record(58_732_019_127_281_840, 0, target=4000)
+            _auto_record(58_732_019_127_281_840, target=4000)
         assert time.perf_counter() - started < 10.0
 
     def test_large_step_count_with_near_stride(self):
         n_steps = 2**62
-        assert _auto_record(n_steps, 0, target=10) == 2**58
+        assert _auto_record(n_steps, target=10) == 2**58
 
 
 class TestCli:

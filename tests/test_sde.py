@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -167,9 +168,15 @@ class TestEulerMaruyamaStep:
         with pytest.raises(InvalidInputError, match="^t must be finite"):
             euler_maruyama_step(1.0, DriftSpec.linear(1.0), np.nan, 0.1, 0.0)
 
-    def test_an_overflowing_step_is_a_numerical_error(self):
-        with pytest.raises(NumericalOverflowError):
-            euler_maruyama_step(1e308, DriftSpec.linear(-1.0), 0.0, 1.0, 1e308)
+    @pytest.mark.parametrize("x, omega, dw", [(1e308, -1.0, 1e308), (1e11, -100.0, 0.0),
+                                              (0.0, 0.0, -1.5e12)],
+                             ids=["non-finite", "drift-past-the-bound", "noise-past-the-bound"])
+    def test_an_overflowing_step_is_a_numerical_error(self, x, omega, dw):
+        # the ensemble's bound: a one-particle simulate_ensemble refuses 1.01e13 too
+        with pytest.raises(NumericalOverflowError,
+                           match=r"^Euler-Maruyama step overflowed \(\|x\| bound 1e\+12\)$"):
+            euler_maruyama_step(x, DriftSpec.linear(omega), 0.0, 1.0, dw)
+        assert euler_maruyama_step(1e12, DriftSpec.linear(0.0), 0.0, 1.0, 0.0) == 1e12
 
     def test_bad_dt_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -288,6 +295,23 @@ class TestSimulateEnsemble:
         threaded = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers=4)
         assert np.array_equal(serial.paths, threaded.paths)
 
+    def test_threaded_draws_under_a_short_switch_interval(self, monkeypatch):
+        # 8 workers on 16 chunks of 63 streams, switching threads every microsecond: a lost
+        # or misplaced write to the shared generator pool, x0 or noise block moves the paths
+        monkeypatch.setattr(sde, "_CHUNK_STREAMS", 64)
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * 63 * 7)  # 7-step blocks
+        cfg = ou_cfg(n_particles=1000, n_steps=50, x0=lambda gen: gen.standard_normal())
+        serial = simulate_ensemble(DriftSpec.linear(1.0), cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            threaded = simulate_ensemble(DriftSpec.linear(1.0), cfg, n_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - started < 60.0
+        assert np.array_equal(serial.paths, threaded.paths)
+
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_noise_stays_within_the_budget(self, monkeypatch, n_workers):
         # Four 256-stream chunks of 2048 steps: a chunk's full-length noise is
@@ -306,8 +330,10 @@ class TestSimulateEnsemble:
         finally:
             tracemalloc.stop()
         tile, state = 8 * sde._TILE * 512, 4 * 8 * 256  # x, its next step, dw, guard scratch
-        per_worker = sde._CHUNK_NOISE_BYTES + tile + pool + state + (16 << 10)  # + small objects
-        assert peak <= n_workers * per_worker + batch.paths.nbytes
+        # one noise block and one pool per run; a worker adds a tile, a pool thread its objects
+        per_run = sde._CHUNK_NOISE_BYTES + pool + state + (16 << 10)  # + small objects
+        threads = n_workers if n_workers > 1 else 0
+        assert peak <= per_run + n_workers * tile + threads * (8 << 10) + batch.paths.nbytes
         monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * 256)
         one_block = simulate_ensemble(DriftSpec.linear(1.0), cfg)
         assert np.array_equal(batch.paths, one_block.paths)
@@ -407,12 +433,14 @@ class TestSimulateEnsemble:
         later = simulate_ensemble(DriftSpec.linear(1.0), replace(cfg, record_from=5))
         assert np.array_equal(batch.paths[:, 1:], later.paths)
 
-    def test_a_serial_run_imports_no_thread_pool(self):
+    @pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "one-chunk"])
+    def test_a_serial_run_imports_no_thread_pool(self, n_workers):
+        # a one-chunk run is serial at any worker count: its blocks are drawn on the caller
         src = os.path.dirname(os.path.dirname(spinmech.__file__))
         code = ("import sys, spinmech\n"
                 "from spinmech.sde import DriftSpec, SdeConfig, simulate_ensemble\n"
                 "cfg = SdeConfig(dt=0.01, n_steps=10, sigma=1.0, n_particles=4, seed=1)\n"
-                "simulate_ensemble(DriftSpec.linear(1.0), cfg)\n"
+                f"simulate_ensemble(DriftSpec.linear(1.0), cfg, {n_workers})\n"
                 "print('concurrent.futures' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=src), check=True)

@@ -10,7 +10,11 @@ Exit codes: 0 success, 2 configuration problems, 3 numerical failures,
 4 I/O failures.  ``--seed`` and ``--out`` override the config file and are
 read by its rules, as is the integer ``--threads``, which never changes results.
 A warning is printed to stderr as one line, ``warning: <message>``, without
-the source file and line that raised it.
+the source file and line that raised it, after the outcome it came with.
+``validate`` refuses what ``run`` would before any work, recorded times that
+round to one value and a configured ``fp_stationary`` step count beyond 64
+bits included; README lists what only ``run`` refuses, ``mc_fp_xval``'s
+``all positions fall outside the histogram grid`` among them.
 """
 
 from __future__ import annotations
@@ -53,14 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
+    shown = []
     with warnings.catch_warnings():  # restores the caller's display on return
-        warnings.showwarning = _show_warning
-        return _main(argv)
+        warnings.showwarning = lambda message, *args, **kwargs: shown.append(message)
+        try:
+            return _main(argv)
+        finally:  # after the outcome, so that stderr's first line names it
+            for message in shown:
+                print(f"warning: {message}", file=sys.stderr)
 
 
 def _main(argv) -> int:

@@ -59,12 +59,18 @@ class ReferenceTrajectory:
             stated = check_number(f"v_r_dot({t:g})", self.v_r_dot(t))
             allowed = (DERIVATIVE_CONSISTENCY_TOL * (1.0 + abs(stated))  # + truncation, rounding
                        + abs((self.v_r(t + 2 * h) - self.v_r(t - 2 * h)) / (4 * h) - fd)
-                       + 2 * math.ulp(1.0) * (abs(hi) + abs(lo)) / (2 * h))
-            if not abs(fd - stated) <= allowed < math.inf:
+                       + 2 * math.ulp(1.0) * (abs(hi) / 2 + abs(lo) / 2) / h)  # no sum overflows
+            if fd == stated or abs(fd - stated) <= allowed < math.inf:
+                continue
+            if not allowed < math.inf:  # the bound overflowed, or is NaN
                 raise InvalidInputError(
-                    f"v_r_dot({t:g}) = {stated:g} disagrees with the central "
-                    f"difference {fd:g} of v_r"
+                    f"v_r_dot({t:g}) = {stated:g} and the central difference {fd:g} of v_r "
+                    "differ, but the difference cannot be resolved: its error bound overflows"
                 )
+            raise InvalidInputError(
+                f"v_r_dot({t:g}) = {stated:g} disagrees with the central "
+                f"difference {fd:g} of v_r"
+            )
 
     @classmethod
     def _exact(cls, v_r, v_r_dot, duration: float) -> "ReferenceTrajectory":

@@ -11,8 +11,9 @@ calls it again before making the output directory.  Each rule on a value has
 one home: a registry check states only a rule that no library constructor
 called by the setup states (``SdeConfig``, ``Grid1D``, ``BeamConfig``,
 ``ControlLaw`` and the like state the rest).  Left to the run: checks on
-config-sized arrays (initial density, solver ``dt``), made before the run
-writes any artifact, and the stability bound of a configured density ``dt``.
+config-sized arrays (initial density and its drift, solver ``dt``, the
+histogram of simulated positions), made before the run writes any artifact,
+and the stability bound of a configured density ``dt``.
 
 A setup returns the run in two stages, and ``run_scenario`` writes what
 each returns.  ``compute(n_workers)`` simulates and returns the primary
@@ -394,6 +395,8 @@ def _run_fp_stationary(cfg: ScenarioConfig):
     drift = drift_from_density(rho_fn, sigma)  # refuses sigma <= 0 before it sizes the grid
     half = p["half_width"] or 6.0 * (sigma / math.sqrt(2.0 * omega))
     grid = Grid1D(-half, half, p["n_cells"])
+    if p["dt"]:  # the solver's own dt is known only at run time
+        check_steps(p["t_final"], p["dt"])
     def compute(n_workers: int):
         rho0 = DensityField.from_function(grid, rho_fn)
         dt = p["dt"] or stable_dt(drift, sigma, grid)
@@ -572,8 +575,18 @@ def _run_momentum_limit(cfg: ScenarioConfig):
     return compute, measure
 
 
-def _tracking_setup(cfg: ScenarioConfig, n_particles: int, target: int):
-    """The reference and the SdeConfig of a tracking run; v(0) = v_r(0) + e0."""
+#: Columns of ``tracking.csv``.
+_TRACKING_COLUMNS = ("t", "e_mean", "e_std", "u")
+
+
+def _tracking(cfg: ScenarioConfig, n_particles: int, target: int, eta_hat=None,
+              disturbance=None, eta_gap: float = 0.0):
+    """The compute and measure stages of a tracking run; v(0) = v_r(0) + e0.
+
+    The setup builds the reference, the SdeConfig and the law, in that order.
+    ``measure(out)`` re-reads both artifacts and returns the tracking table
+    with the metrics both tracking scenarios report.
+    """
     p = cfg.parameters
     n_steps = _steps_for(p["t_final"], p["dt"])
     duration = n_steps * p["dt"]  # the reference spans the run's own steps, from t0 = 0
@@ -584,25 +597,11 @@ def _tracking_setup(cfg: ScenarioConfig, n_particles: int, target: int):
     else:  # "sine": the profile's check rejects any other profile at parse time
         reference = ReferenceTrajectory.sine(p["amplitude"], p["angular_freq"], duration,
                                              offset=p["level"])
-    sde_cfg = SdeConfig(
-        dt=p["dt"],
-        n_steps=n_steps,
-        sigma=p["sigma"],
-        n_particles=n_particles,
-        seed=cfg.seed,
-        x0=reference.v_r(0.0) + p["e0"],
-        record_every=p["record_every"] or _auto_record(n_steps, target=target),
-    )
-    return reference, sde_cfg
+    sde_cfg = SdeConfig(dt=p["dt"], n_steps=n_steps, sigma=p["sigma"], n_particles=n_particles,
+                        seed=cfg.seed, x0=reference.v_r(0.0) + p["e0"],
+                        record_every=p["record_every"] or _auto_record(n_steps, target=target))
+    law = ControlLaw(p["omega"], reference, eta_hat)
 
-
-#: Columns of ``tracking.csv``.
-_TRACKING_COLUMNS = ("t", "e_mean", "e_std", "u")
-
-
-def _tracking_compute(cfg: ScenarioConfig, law: ControlLaw, sde_cfg: SdeConfig,
-                      disturbance=None):
-    """The compute stage of a tracking run: the tracking table and the fit results."""
     def compute(n_workers: int):
         report = simulate_tracking(law, sde_cfg, disturbance, n_workers)
         return {
@@ -615,44 +614,35 @@ def _tracking_compute(cfg: ScenarioConfig, law: ControlLaw, sde_cfg: SdeConfig,
                 "config": cfg.echo(),
             }, indent=2, sort_keys=True) + "\n",
         }, {}
-    return compute
 
-
-def _tracking_metrics(cfg: ScenarioConfig, out: Path, eta_gap):
-    """The re-read tracking table and the metrics both tracking scenarios report."""
-    table = dict(zip(_TRACKING_COLUMNS, io.read_csv(out / "tracking.csv").T))
-    fit = json.loads((out / "tracking_summary.json").read_text())
-    omega, e0 = cfg.parameters["omega"], cfg.parameters["e0"]
-    t, e = table["t"], table["e_mean"]
-    t_final = t[-1]
-    tail = e[t >= 0.9 * t_final]
-    expected = check_overflow("closed-form terminal error", e0 * math.exp(-omega * t_final)
-                              + eta_gap / omega * (1.0 - math.exp(-omega * t_final)))
-    return table, {
-        "terminal_error": float(e[-1]),
-        "expected_terminal_error": float(expected),
-        "fitted_decay_rate": fit["fitted_decay_rate"],
-        "steady_state_error": float(np.abs(tail).mean()),
-    }
+    def measure(out: Path):
+        table = dict(zip(_TRACKING_COLUMNS, io.read_csv(out / "tracking.csv").T))
+        fit = json.loads((out / "tracking_summary.json").read_text())
+        t, e, omega = table["t"], table["e_mean"], p["omega"]
+        decay = math.exp(-omega * t[-1])
+        expected = check_overflow("closed-form terminal error",
+                                  p["e0"] * decay + eta_gap / omega * (1.0 - decay))
+        return table, {
+            "terminal_error": float(e[-1]),
+            "expected_terminal_error": float(expected),
+            "fitted_decay_rate": fit["fitted_decay_rate"],
+            "steady_state_error": float(np.abs(e[t >= 0.9 * t[-1]]).mean()),
+        }
+    return compute, measure
 
 
 def _run_track_particle(cfg: ScenarioConfig):
-    p = cfg.parameters
-    reference, sde_cfg = _tracking_setup(cfg, 1, target=1000)
-    eta, eta_hat = p["eta"], p["eta_hat"]
-    law = ControlLaw(omega=p["omega"], reference=reference, eta_hat=lambda t: eta_hat)
-
-    def measure(out: Path):
-        return {}, _tracking_metrics(cfg, out, eta - eta_hat)[1]
-    return _tracking_compute(cfg, law, sde_cfg, lambda t: eta), measure
+    eta, eta_hat = cfg.parameters["eta"], cfg.parameters["eta_hat"]
+    compute, measure = _tracking(cfg, 1, 1000, lambda t: eta_hat, lambda t: eta, eta - eta_hat)
+    return compute, lambda out: ({}, measure(out)[1])
 
 
 def _run_track_ensemble(cfg: ScenarioConfig):
     p = cfg.parameters
-    reference, sde_cfg = _tracking_setup(cfg, p["n_particles"], target=100)
+    compute, shared = _tracking(cfg, p["n_particles"], target=100)
 
     def measure(out: Path):
-        table, base = _tracking_metrics(cfg, out, 0.0)
+        table, base = shared(out)
         return {}, {
             "terminal_mean_error": base["terminal_error"],
             "expected_terminal_error": base["expected_terminal_error"],
@@ -665,7 +655,7 @@ def _run_track_ensemble(cfg: ScenarioConfig):
             ),
             "fitted_decay_rate": base["fitted_decay_rate"],
         }
-    return _tracking_compute(cfg, ControlLaw(p["omega"], reference), sde_cfg), measure
+    return compute, measure
 
 
 # --------------------------------------------------------------------------
@@ -678,7 +668,11 @@ _FIT_UNDEFINED = (
     "sign or has fewer than two samples (e.g. e0 = 0 with sigma = 0)"
 )
 
-_TRACK_PROFILE_PARAMS = (
+#: The keys both tracking scenarios take, after their own.
+_TRACK_PARAMS = (
+    Param("t_final", "float", 3.0, check=_positive("t_final")),
+    Param("dt", "float", 1e-3, check=_positive("dt")),
+    Param("record_every", "int", 0, check=_non_negative("record_every")),
     Param("profile", "str", "constant", check=(
         lambda v: v in ("constant", "ramp", "sine"), "profile must be one of constant, ramp, sine"
     )),
@@ -833,10 +827,7 @@ REGISTRY: dict[str, ScenarioSpec] = {
             Param("eta", "float", 0.0),
             Param("eta_hat", "float", 0.0),
             Param("sigma", "float", 0.0),
-            Param("t_final", "float", 3.0, check=_positive("t_final")),
-            Param("dt", "float", 1e-3, check=_positive("dt")),
-            Param("record_every", "int", 0, check=_non_negative("record_every")),
-        ) + _TRACK_PROFILE_PARAMS,
+        ) + _TRACK_PARAMS,
         artifacts="tracking.csv, tracking_summary.json, summary.txt",
         metrics=(
             "terminal_error",
@@ -857,10 +848,7 @@ REGISTRY: dict[str, ScenarioSpec] = {
             Param("sigma", "float"),
             Param("n_particles", "int"),
             Param("e0", "float", 1.0),
-            Param("t_final", "float", 3.0, check=_positive("t_final")),
-            Param("dt", "float", 1e-3, check=_positive("dt")),
-            Param("record_every", "int", 0, check=_non_negative("record_every")),
-        ) + _TRACK_PROFILE_PARAMS,
+        ) + _TRACK_PARAMS,
         artifacts="tracking.csv, tracking_summary.json, summary.txt",
         metrics=(
             "terminal_mean_error",

@@ -6,7 +6,9 @@ string or list, non-finite floats and integers beyond 64 bits included.
 ``metric.`` line of ``summary.txt`` must be a finite number, a bool or
 ``undefined``.  On exit 2 stderr must read ``configuration errors:`` and
 then one ``  - `` line per problem; on exit 3 it must start with
-``numerical failure:``.
+``numerical failure:``.  ``validate`` runs on every example too: when it
+refuses, ``run`` refuses with the same lines, and when it passes, ``run``
+exits 2 only with refusals that README leaves to the run (``RUN_TIME_ONLY``).
 
 The values that set the amount of work are drawn small so the test stays
 quick: particle, path and cell counts, snapshot and horizon counts, and the
@@ -24,7 +26,9 @@ an explicit example.  To search further, drop ``derandomize`` and raise
 
 import contextlib
 import io
+import itertools
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -226,7 +230,26 @@ def _metric_ok(text: str) -> bool:
         return False
 
 
-#: Runs that once raised, hung or reported a non-finite metric, each with its cause.
+#: The refusals README leaves to ``run``: sizes too large to allocate, a configured
+#: ``fp_stationary`` dt beyond a stability bound, the checks on the initial density and
+#: the drift taken from it, the density solver's own dt and its step count, and an
+#: empty histogram.
+RUN_TIME_ONLY = re.compile("  - (configured sizes are too large to allocate|scenario '\\w+': ("
+                           + "|".join([
+    r"(diffusive stability|advective CFL) bound violated: .*",
+    r"density function must give finite values >= 0",
+    r"density function integrates to zero",
+    r"density mass is .*",
+    r"density must be strictly positive on the domain",
+    r"drift is not finite on the grid faces at t=0",
+    r"no dynamics: sigma and drift are both zero",
+    r"no stable step is representable for .*",
+    r"t_final=\S+ / dt=\S+ is more steps than fit in 64 bits",
+    r"all positions fall outside the histogram grid",
+]) + "))")
+
+#: Runs that once raised, hung, reported a non-finite metric, printed a warning before
+#: their outcome or passed ``validate`` to be refused by ``run``, each with its cause.
 FOUND = [
     # t_final / dt overflows: round(inf) and int(inf) raised OverflowError
     ("ou_relax", 1, {"omega": 1.0, "sigma": 1.0, "n_particles": 4, "t_final": 1e300,
@@ -286,7 +309,25 @@ FOUND = [
     # the initial width squares to 0: numpy warned dividing by it in the density
     ("mc_fp_xval", 0, {"omega": 1.0, "sigma": 1.0, "n_particles": 8, "t_final": 0.01,
                        "dt_mc": 0.005, "init_width_cells": 1e-170}),
+    # the mirrored-geometry warning came before the numerical failure it led to
+    ("stern_gerlach", 0, {"alpha_re": 0.6, "beta_re": 0.8, "n": 20, "grad_bz": 1e155}),
+    ("stern_gerlach", 0, {"alpha_re": 0.6, "beta_re": 0.8, "n": 20, "gyromagnetic": 40,
+                          "grad_bz": 33333333334.0}),
+    # validate passed; run simulated, then found recorded times that round to one value
+    ("momentum_limit", 0, {"horizons": [1e16, 1.0000000000000004e16], "n_paths": 4,
+                           "steps_per_horizon": 40, "t0": 9.999999999999998e15}),
+    # validate passed a configured density dt whose step count overflows 64 bits
+    ("fp_stationary", 0, {"omega": 1.0, "sigma": 1.0, "n_cells": 16, "t_final": 3.5e19,
+                          "dt": 1.9}),
 ]
+
+
+def _main(command, cfg):
+    """``cli.main``'s exit code for ``command`` on the file ``cfg``, and its stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, str(cfg)])
+    return code, err.getvalue().splitlines()
 
 
 def _with_found(test):
@@ -306,15 +347,19 @@ def test_any_parameter_value_gives_a_documented_exit_code(case):
         out = Path(tmp) / "out"
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text(_text(scenario, seed, params, out))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = cli.main(["run", str(cfg)])
+        checked, validated = _main("validate", cfg)
+        code, lines = _main("run", cfg)
         event(f"{scenario}: exit {code}")
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERIC, cli.EXIT_IO)
-        lines = err.getvalue().splitlines()
+        if checked != cli.EXIT_OK:
+            assert (code, lines) == (checked, validated)
         if code == cli.EXIT_CONFIG:
-            assert lines[0] == "configuration errors:", lines
-            assert all(line.startswith("  - ") for line in lines[1:]), lines
+            refused = list(itertools.takewhile(lambda line: line.startswith("  - "), lines[1:]))
+            assert lines[0] == "configuration errors:" and refused, lines
+            # warnings follow the outcome
+            assert all(line.startswith("warning: ") for line in lines[1 + len(refused):]), lines
+            if checked == cli.EXIT_OK:
+                assert all(RUN_TIME_ONLY.fullmatch(line) for line in refused), lines
         if code == cli.EXIT_NUMERIC:
             assert lines[0].startswith("numerical failure:"), lines
         if code == cli.EXIT_OK:

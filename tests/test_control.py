@@ -54,6 +54,15 @@ class TestReferenceTrajectory:
         with pytest.raises(InvalidInputError, match="disagrees"):
             ReferenceTrajectory(v_r, v_r_dot, duration=3.0)
 
+    def test_exact_agreement_accepted_where_the_error_bound_overflows(self):
+        # |v_r| / h = 1e355: the rounding bound is inf, and 0 == 0 needs none
+        ReferenceTrajectory(lambda t: 1e100, lambda t: 0.0, 1e-250)
+
+    def test_a_difference_beyond_an_overflowed_bound_is_unresolved(self):
+        with pytest.raises(InvalidInputError, match="^v_r_dot.* differ, but the difference "
+                                                    "cannot be resolved: its error bound overflows$"):
+            ReferenceTrajectory(lambda t: 1e100, lambda t: 1.0, 1e-250)
+
     def test_inconsistent_derivative_rejected(self):
         with pytest.raises(InvalidInputError, match="disagrees"):
             ReferenceTrajectory(math.sin, lambda t: -math.cos(t), duration=5.0)

@@ -641,6 +641,11 @@ class TestCli:
             # the initial width's square underflows or overflows
             ("mc_fp_xval", "omega = 1\nsigma = 1\nn_particles = 8\ninit_width_cells = 1e-170"),
             ("mc_fp_xval", "omega = 1\nsigma = 1\nn_particles = 8\ninit_width_cells = 1e160"),
+            # rules a run once met only after its steps: t0 + k * dt rounds recorded times
+            # of the tail window to one value, and a configured dt's step count overflows
+            ("momentum_limit", "t0 = 9.999999999999998e15\nhorizons = 1e16, 1.0000000000000004e16"
+                               "\nn_paths = 4\nsteps_per_horizon = 40"),
+            ("fp_stationary", "omega = 1\nsigma = 1\nn_cells = 16\nt_final = 3.5e19\ndt = 1.9"),
         ],
     )
     def test_validate_refuses_what_run_refuses_before_its_first_step(
@@ -657,6 +662,15 @@ class TestCli:
         assert cli.main(["run", cfg]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == validated
         assert not (tmp_path / "out").exists()
+
+    def test_warnings_follow_the_outcome_line(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, small_config("stern_gerlach", tmp_path / "out",
+                                                 grad_bz=1e155))
+        assert cli.main(["run", cfg]) == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: scenario 'stern_gerlach': plate hits beyond |x| bound 1e+12",
+            "warning: grad_bz = 1e+155 is not negative; proceeding with the mirrored geometry",
+        ]
 
     @pytest.mark.parametrize("width", [1e-150, 1e-155])  # 2 * (width * dx)**2 subnormal
     def test_density_refused_at_run_time_leaves_no_artifact(self, tmp_path, capsys, width):

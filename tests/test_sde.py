@@ -222,6 +222,21 @@ class TestSdeConfig:
         ])
         assert cfg.t_final == 1.0 + 10 * 0.3
 
+    @pytest.mark.parametrize("block", [4096, 2, 3])  # the collision in one block, or a later one
+    def test_recorded_times_that_round_to_one_are_refused(self, monkeypatch, block):
+        monkeypatch.setattr(sde, "_TIME_BLOCK", block)
+        # 2**52 - 10 + k / 2 is exact up to 2**52, where the ulp grows to 1 and k = 21 rounds down
+        with pytest.raises(InvalidInputError, match="^recorded times must be strictly increasing$"):
+            ou_cfg(n_steps=40, record_every=1, t0=2.0**52 - 10, dt=0.5)
+        cfg = ou_cfg(n_steps=40, record_every=1, t0=2.0**52 - 100, dt=0.5)  # an ulp apart
+        assert np.all(np.diff(cfg.recorded_times()) > 0)
+
+    def test_times_past_the_scan_are_left_to_the_batch(self, monkeypatch):
+        monkeypatch.setattr(sde, "_TIME_SCAN", 39)
+        cfg = ou_cfg(n_steps=40, record_every=1, t0=2.0**52 - 10, dt=0.5)  # 41 times
+        with pytest.raises(InvalidInputError, match="^recorded times must be strictly increasing$"):
+            TrajectoryBatch(cfg.recorded_times(), np.zeros((1, 41)))
+
     @pytest.mark.parametrize("field", ["dt", "sigma", "t0", "x0"])
     def test_nan_is_rejected(self, field):
         with pytest.raises(InvalidInputError, match=field):

@@ -583,7 +583,8 @@ def _tracking(cfg: ScenarioConfig, n_particles: int, target: int, eta_hat=None,
               disturbance=None, eta_gap: float = 0.0):
     """The compute and measure stages of a tracking run; v(0) = v_r(0) + e0.
 
-    The setup builds the reference, the SdeConfig and the law, in that order.
+    The setup builds the reference, the SdeConfig and the law, in that order,
+    then the closed-form terminal error, so that ``validate`` refuses its overflow.
     ``measure(out)`` re-reads both artifacts and returns the tracking table
     with the metrics both tracking scenarios report.
     """
@@ -601,6 +602,9 @@ def _tracking(cfg: ScenarioConfig, n_particles: int, target: int, eta_hat=None,
                         seed=cfg.seed, x0=reference.v_r(0.0) + p["e0"],
                         record_every=p["record_every"] or _auto_record(n_steps, target=target))
     law = ControlLaw(p["omega"], reference, eta_hat)
+    decay = math.exp(-p["omega"] * duration)  # at the last recorded time, t = duration
+    expected = check_overflow("closed-form terminal error",
+                              p["e0"] * decay + eta_gap / p["omega"] * (1.0 - decay))
 
     def compute(n_workers: int):
         report = simulate_tracking(law, sde_cfg, disturbance, n_workers)
@@ -618,13 +622,10 @@ def _tracking(cfg: ScenarioConfig, n_particles: int, target: int, eta_hat=None,
     def measure(out: Path):
         table = dict(zip(_TRACKING_COLUMNS, io.read_csv(out / "tracking.csv").T))
         fit = json.loads((out / "tracking_summary.json").read_text())
-        t, e, omega = table["t"], table["e_mean"], p["omega"]
-        decay = math.exp(-omega * t[-1])
-        expected = check_overflow("closed-form terminal error",
-                                  p["e0"] * decay + eta_gap / omega * (1.0 - decay))
+        t, e = table["t"], table["e_mean"]
         return table, {
             "terminal_error": float(e[-1]),
-            "expected_terminal_error": float(expected),
+            "expected_terminal_error": expected,
             "fitted_decay_rate": fit["fitted_decay_rate"],
             "steady_state_error": float(np.abs(e[t >= 0.9 * t[-1]]).mean()),
         }
@@ -640,6 +641,8 @@ def _run_track_particle(cfg: ScenarioConfig):
 def _run_track_ensemble(cfg: ScenarioConfig):
     p = cfg.parameters
     compute, shared = _tracking(cfg, p["n_particles"], target=100)
+    stationary = check_overflow("closed-form stationary error variance",
+                                p["sigma"] * p["sigma"] / (2.0 * p["omega"]))
 
     def measure(out: Path):
         table, base = shared(out)
@@ -649,10 +652,7 @@ def _run_track_ensemble(cfg: ScenarioConfig):
             "clt_band": 3.0 * p["sigma"] / math.sqrt(p["n_particles"]),
             "terminal_error_variance":
                 float(table["e_std"][-1] ** 2) if p["n_particles"] > 1 else None,
-            "stationary_error_variance": check_overflow(
-                "closed-form stationary error variance",
-                p["sigma"] * p["sigma"] / (2.0 * p["omega"]),
-            ),
+            "stationary_error_variance": stationary,
             "fitted_decay_rate": base["fitted_decay_rate"],
         }
     return compute, measure

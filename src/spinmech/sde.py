@@ -39,8 +39,10 @@ from .rng import particle_stream
 #: Paths whose |x| crosses this bound abort with an overflow error.
 OVERFLOW_LIMIT = 1e12
 
-#: Bound on the bytes of a run's noise block; it sets the depth of the step blocks.
-_CHUNK_NOISE_BYTES = 24 * 1024 * 1024
+#: Bound on the bytes of a run's noise block; it sets the depth of the step blocks.  With
+#: 12 MiB ``ou_relax`` (20 000 x 3000) peaks at 52 MB against 64 MB with 24 MiB; 8 MiB would
+#: save 4 MiB more, but its extra per-stream draw calls cost 3% on 1 worker and 19% on 2.
+_CHUNK_NOISE_BYTES = 12 * 1024 * 1024
 
 #: The most streams in one chunk; the chunks of an ensemble have equal widths.
 _CHUNK_STREAMS = 2048
@@ -48,10 +50,11 @@ _CHUNK_STREAMS = 2048
 #: Recorded times that ``SdeConfig`` compares at once, and the most it compares at all.
 _TIME_BLOCK, _TIME_SCAN = 4096, 2**20
 
-#: Streams drawn into contiguous rows before one transpose.  Drawing each stream into a
-#: stream-major block kept every byte but took 1.69 s on 1 worker and 1.68 s on 2, against
-#: 1.61 s: medians of 10 in-process runs of 20 000 streams x 3000 steps on 2 shared vCPUs.
-_TILE = 16
+#: Streams drawn into contiguous rows before one transpose into the step-major block.  In
+#: 12 MiB blocks, the transposes of 20 000 streams x 3000 steps took 0.22 s with 16-stream
+#: tiles (128-byte runs per block row) and 0.16 s with 128 (1 KiB runs): medians of 10
+#: in-process runs on 2 shared vCPUs, as are the budget's costs above.
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,7 @@ def _draw(cfg, lo, a, b, gens, x, raw, tile):
     for c in range(a, b if nb else a, _TILE):
         tiled = tile[:min(_TILE, b - c), :nb]
         for row, gen in zip(tiled, gens[c:c + len(tiled)]):
-            gen.standard_normal(nb, out=row)
+            gen.standard_normal(out=row)  # a size as well would double the call's overhead
         raw[:, c:c + len(tiled)] = tiled.T
 
 
@@ -285,28 +288,32 @@ def _run_range(drift, cfg, lo, hi, paths, depth, fill):
     x = np.empty((G, m)) if sampled else np.full((G, m), cfg.x0, dtype=float)
     nxt, dw, scratch = np.empty((G, m)), np.empty((G, m)), np.empty((G, m))
     rows = paths.reshape(G, -1, paths.shape[1])[:, lo:hi]  # group g's rows of streams lo..hi
+    t0, every, first = cfg.t0, cfg.record_every, cfg.record_from
     with np.errstate(over="ignore", invalid="ignore"):  # the bound check raises instead
         for k0 in range(0, cfg.n_steps, depth):
             nb = min(depth, cfg.n_steps - k0)
             if draw or (sampled and k0 == 0):
                 raw = fill(lo, hi, x if k0 == 0 else None, nb if draw else 0)
-            if k0 == 0 and cfg.record_from == 0:
+            if k0 == 0 and first == 0:
                 rows[:, :, 0] = x
+            if G > 1:  # the block's step times, one (G, 1) column per step
+                ts = t0 + np.arange(k0, k0 + nb)[:, None, None] * dt
             for k in range(k0, k0 + nb):
                 step_dw = 0.0
                 if draw:
                     step_dw = np.multiply(sdt, raw[k - k0], out=dw)
                     for g in quiet:
                         dw[g] = 0.0  # a zero scale adds +0.0, as an undrawn step does
-                _em_update(x, drift, cfg.t0 + k * dt, dt, step_dw, out=nxt)
+                t = t0 + k * dt if G == 1 else ts[k - k0]
+                _em_update(x, drift, t, dt, step_dw, out=nxt)
                 x, nxt = nxt, x
                 if not np.abs(x, out=scratch).max() <= OVERFLOW_LIMIT:  # a NaN max fails too
                     g, i = divmod(int(np.argmax(~(scratch <= OVERFLOW_LIMIT))), m)
                     raise NumericalOverflowError(
                         f"particle {g * (paths.shape[0] // G) + lo + i} overflowed at step "
-                        f"{k + 1} (x={x[g, i]!r}, |x| bound {OVERFLOW_LIMIT:g})")
-                if (k + 1) % cfg.record_every == 0 and k + 1 >= cfg.record_from:
-                    rows[:, :, (k + 1 - cfg.record_from) // cfg.record_every] = x
+                        f"{k + 1} (x={float(x[g, i])!r}, |x| bound {OVERFLOW_LIMIT:g})")
+                if (k + 1) % every == 0 and k + 1 >= first:
+                    rows[:, :, (k + 1 - first) // every] = x
 
 
 def simulate_ensemble(

@@ -3,8 +3,9 @@
 ``tests/data/golden_digests.txt`` holds the sha256 of every artifact that
 ``scripts/regen_goldens.py`` produces; a change that moves any byte fails
 here until the file is regenerated and the change is explained.  The same
-digests must come out of a serial run with the default chunks and of a
-two-thread run with chunks of at most 64 streams drawn in many step blocks.
+digests must come out of a serial run with the default chunks and of
+two-thread runs with chunks of at most 64 and of at most 300 streams, each
+drawn in several step blocks.
 """
 
 import importlib.util
@@ -30,7 +31,11 @@ def _load_script():
     # two step sizes): each worker runs several chunks of mc_fp_xval, ou_relax and
     # track_ensemble, and every ensemble chunk draws in several blocks
     (2, 64, 8 * 64 * 48),
-], ids=["serial", "threaded-small-chunks"])
+    # chunks of at most 300 streams in blocks of at least 200 steps: mc_fp_xval's 2000
+    # particles run in 7 chunks of 286 or 284, so each worker's share of a chunk spans one
+    # full tile of 128 streams and one partial tile, in 3 blocks
+    (2, 300, 8 * 300 * 200),
+], ids=["serial", "threaded-small-chunks", "threaded-tile-boundaries"])
 def test_artifact_digests_match_goldens(tmp_path, monkeypatch, n_workers, chunk_streams,
                                         chunk_bytes):
     monkeypatch.setattr(sde, "_CHUNK_STREAMS", chunk_streams)

@@ -646,6 +646,11 @@ class TestCli:
             ("momentum_limit", "t0 = 9.999999999999998e15\nhorizons = 1e16, 1.0000000000000004e16"
                                "\nn_paths = 4\nsteps_per_horizon = 40"),
             ("fp_stationary", "omega = 1\nsigma = 1\nn_cells = 16\nt_final = 3.5e19\ndt = 1.9"),
+            # closed-form metrics that overflow: the run once wrote tracking.csv and
+            # tracking_summary.json, then exited 3 without summary.txt
+            ("track_particle", "omega = 1e-320\neta = 1"),
+            ("track_ensemble", "omega = 1\nsigma = 1e155\nn_particles = 2\nt_final = 1e-300"
+                               "\ndt = 1e-300"),
         ],
     )
     def test_validate_refuses_what_run_refuses_before_its_first_step(

@@ -327,15 +327,22 @@ class TestSimulateEnsemble:
         assert time.perf_counter() - started < 60.0
         assert np.array_equal(serial.paths, threaded.paths)
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_noise_stays_within_the_budget(self, monkeypatch, n_workers):
-        # Four 256-stream chunks of 2048 steps: a chunk's full-length noise is
-        # 4x the 1 MiB budget, so each chunk draws in 4 blocks of 512 steps.
-        monkeypatch.setattr(sde, "_CHUNK_STREAMS", 256)
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 1 << 20)
-        cfg = SdeConfig(dt=1e-3, n_steps=2048, sigma=1.0, n_particles=1024, seed=1,
-                        x0=1.0, record_every=512)
-        pool = _pool_bytes(256)  # each worker's generators, one per stream of a chunk
+    @pytest.mark.parametrize("n_workers, streams, budget, n_particles", [
+        # four 256-stream chunks of 2048 steps: a chunk's full-length noise is
+        # 4x the 1 MiB budget, so each chunk draws in 4 blocks of 512 steps
+        (1, 256, 1 << 20, 1024),
+        (2, 256, 1 << 20, 1024),
+        # the sizes a run uses: one chunk of 2048 streams in 4 blocks
+        (1, sde._CHUNK_STREAMS, sde._CHUNK_NOISE_BYTES, sde._CHUNK_STREAMS),
+    ], ids=["1-worker", "2-workers", "production"])
+    def test_noise_stays_within_the_budget(self, monkeypatch, n_workers, streams, budget,
+                                           n_particles):
+        monkeypatch.setattr(sde, "_CHUNK_STREAMS", streams)
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", budget)
+        depth = budget // (8 * streams)
+        cfg = SdeConfig(dt=1e-3, n_steps=4 * depth, sigma=1.0, n_particles=n_particles, seed=1,
+                        x0=1.0, record_every=depth)
+        pool = _pool_bytes(streams)  # the run's generators, one per stream of a chunk
         simulate_ensemble(DriftSpec.linear(1.0), replace(cfg, n_steps=1, record_every=1),
                           n_workers)  # imports the thread pool before the count starts
         tracemalloc.start()
@@ -344,12 +351,13 @@ class TestSimulateEnsemble:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tile, state = 8 * sde._TILE * 512, 4 * 8 * 256  # x, its next step, dw, guard scratch
+        tile = 8 * min(sde._TILE, streams) * depth
+        state = 5 * 8 * streams  # x, its next step, dw, guard scratch, the drift's value
         # one noise block and one pool per run; a worker adds a tile, a pool thread its objects
-        per_run = sde._CHUNK_NOISE_BYTES + pool + state + (16 << 10)  # + small objects
+        per_run = budget + pool + state + (16 << 10)  # + small objects
         threads = n_workers if n_workers > 1 else 0
         assert peak <= per_run + n_workers * tile + threads * (8 << 10) + batch.paths.nbytes
-        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * 256)
+        monkeypatch.setattr(sde, "_CHUNK_NOISE_BYTES", 8 * cfg.n_steps * streams)
         one_block = simulate_ensemble(DriftSpec.linear(1.0), cfg)
         assert np.array_equal(batch.paths, one_block.paths)
 
@@ -488,7 +496,7 @@ class TestSimulateEnsemble:
         with pytest.raises(NumericalOverflowError) as err:  # 81**7 > 1e12 in rows 4-7
             simulate_ensemble(DriftSpec.linear(-40.0), cfg)
         assert str(err.value) == (
-            "particle 4 overflowed at step 7 (x=np.float64(22876792454961.0), |x| bound 1e+12)"
+            "particle 4 overflowed at step 7 (x=22876792454961.0, |x| bound 1e+12)"
         )
 
     def test_no_stream_when_nothing_is_drawn(self, monkeypatch):
@@ -504,15 +512,15 @@ class TestSimulateEnsemble:
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("drift, n_particles, message", [
         (DriftSpec.linear(-40.0), 4,
-         "particle 0 overflowed at step 8 (x=np.float64(7984925229121.0), |x| bound 1e+12)"),
+         "particle 0 overflowed at step 8 (x=7984925229121.0, |x| bound 1e+12)"),
         (DriftSpec(_at(3, np.nan)), 4,
-         "particle 3 overflowed at step 1 (x=np.float64(nan), |x| bound 1e+12)"),
+         "particle 3 overflowed at step 1 (x=nan, |x| bound 1e+12)"),
         (DriftSpec(_at(2, -np.inf)), 4,
-         "particle 2 overflowed at step 1 (x=np.float64(-inf), |x| bound 1e+12)"),
+         "particle 2 overflowed at step 1 (x=-inf, |x| bound 1e+12)"),
         (DriftSpec(_blow_up_in_last_chunk), 5000,
-         "particle 3341 overflowed at step 1 (x=np.float64(3000000000001.0), |x| bound 1e+12)"),
+         "particle 3341 overflowed at step 1 (x=3000000000001.0, |x| bound 1e+12)"),
         (DriftSpec(_blow_up_in_every_chunk), 5000,
-         "particle 7 overflowed at step 5 (x=np.float64(3000000000000.0), |x| bound 1e+12)"),
+         "particle 7 overflowed at step 5 (x=3000000000000.0, |x| bound 1e+12)"),
     ], ids=["finite", "nan", "-inf", "third-chunk", "lowest-chunk"])
     def test_overflow_reports_particle_and_step(self, drift, n_particles, message, n_workers):
         cfg = SdeConfig(
